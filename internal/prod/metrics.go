@@ -98,6 +98,7 @@ type Metrics struct {
 
 	ConflictPeak int     // largest conflict set observed
 	ConflictMean float64 // mean conflict-set size over cycles
+	ConflictSum  int     // conflict-set sizes summed over cycles
 	// ConflictSeries samples the conflict-set size over the run, one point
 	// per SeriesStride cycles (bounded; long runs are downsampled).
 	ConflictSeries []int
@@ -136,6 +137,7 @@ func (e *Engine) Metrics() Metrics {
 		Added:        e.met.added,
 		Invalidated:  e.met.invalidated,
 		ConflictPeak: e.met.sizePeak,
+		ConflictSum:  e.met.sizeSum,
 		SeriesStride: e.met.stride,
 
 		AlphaTests:    e.rete.alpha.nTests,
@@ -209,6 +211,7 @@ func (m Metrics) Merge(o Metrics) Metrics {
 	m.TokenAsserts += o.TokenAsserts
 	m.TokenRetracts += o.TokenRetracts
 	m.TokensLive += o.TokensLive
+	m.ConflictSum += o.ConflictSum
 	if o.ConflictPeak > m.ConflictPeak {
 		m.ConflictPeak = o.ConflictPeak
 	}
