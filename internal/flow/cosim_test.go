@@ -8,11 +8,15 @@ package flow_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/flow"
+	"repro/internal/isps"
+	"repro/internal/vt"
 )
 
 // TestCosimAllBenchmarks is the acceptance check behind daa -verify and
@@ -191,4 +195,51 @@ func stageNames(tr flow.Trace) []string {
 		names[i] = s.Stage
 	}
 	return names
+}
+
+// Both simulators build fresh machines for every vector, and the MCS6502
+// declares a 64K-word memory: flat storage would allocate 512 KiB per
+// machine. With paged memories a whole default cosim run allocates less
+// than one such memory.
+func TestCosimAllocBelowDeclaredMemory(t *testing.T) {
+	src, err := bench.Source("mcs6502")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast, err := isps.Parse("mcs6502", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := vt.Build(ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Synthesize(tr, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	for _, c := range tr.Carriers {
+		if c.Kind == vt.CarMem {
+			declared += c.Words * 8
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := flow.RunCosim(ast, res.Design, flow.CosimParams{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Equivalent {
+		t.Fatalf("mcs6502 cosim: %s", rep.Summary())
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("cosim allocated %d KiB over %d vectors; declared memory %d KiB", got>>10, rep.Vectors, declared>>10)
+	if declared < 1<<19 {
+		t.Fatalf("declared memory %d bytes, want the 64K-word processor memory", declared)
+	}
+	if got >= uint64(declared) {
+		t.Errorf("cosim allocated %d bytes, want less than one declared memory (%d bytes)", got, declared)
+	}
 }

@@ -421,7 +421,8 @@ func (rr *reteRule) block(t *token) {
 	}
 }
 
-// addMatch emits a token's instantiation into the rule's conflict set.
+// addMatch emits a token's instantiation into the rule's conflict set
+// and, unless refraction rules it out, onto the rule's agenda.
 func (rr *reteRule) addMatch(t *token) {
 	els := make([]*Element, rr.cr.positives)
 	i := rr.cr.positives
@@ -440,10 +441,14 @@ func (rr *reteRule) addMatch(t *token) {
 	t.match = m
 	t.matchIdx = len(rr.cs)
 	rr.cs = append(rr.cs, m)
+	rr.schedule(m)
 	rr.stats.matchAdds++
 }
 
 func (rr *reteRule) removeMatch(t *token) {
+	if t.match.onAgenda {
+		rr.unschedule(t.match)
+	}
 	last := len(rr.cs) - 1
 	moved := rr.cs[last]
 	rr.cs[t.matchIdx] = moved

@@ -109,6 +109,7 @@ type Engine struct {
 	rete       *rete
 	reteSynced bool
 	lite       liteState
+	cursors    []int // selectRete's per-rule agenda positions
 
 	// Journal-recording state: jr is the journal being filled (nil when
 	// recording is off), jrEnc the host value encoder, cur the firing
@@ -259,7 +260,10 @@ func (e *Engine) Run() error {
 		if e.firings >= e.MaxFirings {
 			return fmt.Errorf("prod: firing limit %d exceeded (last rule %s)", e.MaxFirings, m.Rule.Name)
 		}
-		e.fired[e.refractionKey(m)] = true
+		e.fired[refractionKey(m)] = true
+		if m.onAgenda {
+			e.rete.rules[m.Rule.index].unschedule(m)
+		}
 		e.firings++
 		e.met.rules[m.Rule.index].firings++
 		if e.TraceWriter != nil {
@@ -296,7 +300,7 @@ func matchIDs(m *Match) string {
 	return strings.Join(parts, " ")
 }
 
-func (e *Engine) refractionKey(m *Match) refraction {
+func refractionKey(m *Match) refraction {
 	k := refraction{rule: m.Rule.index}
 	for i, el := range m.Elements {
 		if i == 4 {
@@ -401,17 +405,13 @@ func sameInstantiation(a, b *Match) bool {
 	return true
 }
 
-// selectRete scans the Rete network's per-rule conflict sets.
-func (e *Engine) selectRete(observe bool) *Match {
-	return e.pickBest(func(i int) []*Match { return e.rete.rules[i].cs }, observe)
-}
-
 // selectLite scans the Rete-lite persistent conflict set.
 func (e *Engine) selectLite(observe bool) *Match {
 	return e.pickBest(func(i int) []*Match { return e.lite.cs[i] }, observe)
 }
 
-// pickBest applies conflict resolution over per-rule conflict sets. The
+// pickBest applies conflict resolution over per-rule conflict sets by a
+// full scan; the Rete matcher reads its agenda instead (agenda.go). The
 // scan allocates nothing: refraction keys and recency ranks are
 // fixed-size values (see BenchmarkSelectionAllocs).
 func (e *Engine) pickBest(get func(int) []*Match, observe bool) *Match {
@@ -422,7 +422,7 @@ func (e *Engine) pickBest(get func(int) []*Match, observe bool) *Match {
 		ms := get(i)
 		size += len(ms)
 		for _, m := range ms {
-			if e.fired[e.refractionKey(m)] {
+			if e.fired[refractionKey(m)] {
 				continue
 			}
 			if r.Where != nil && !r.Where(m) {
@@ -453,7 +453,7 @@ func (e *Engine) selectExhaustive(count bool) *Match {
 			if r.Where != nil && !r.Where(m) {
 				return
 			}
-			if e.fired[e.refractionKey(m)] {
+			if e.fired[refractionKey(m)] {
 				return
 			}
 			var rk recencyRank

@@ -211,10 +211,10 @@ func diffInstantiations(e *Engine, old, fresh []*Match) (added, invalidated int)
 	}
 	prev := make(map[refraction]int, len(old))
 	for _, m := range old {
-		prev[e.refractionKey(m)]++
+		prev[refractionKey(m)]++
 	}
 	for _, m := range fresh {
-		k := e.refractionKey(m)
+		k := refractionKey(m)
 		if prev[k] > 0 {
 			prev[k]--
 		} else {

@@ -218,6 +218,9 @@ type Match struct {
 	// retraction can remove it from the conflict set in O(1). Nil for
 	// matches produced by the interpreted matchers.
 	tok *token
+	// onAgenda marks a Rete match currently scheduled on its rule's agenda
+	// (agenda.go).
+	onAgenda bool
 }
 
 // El returns the element matched by the i-th positive pattern.

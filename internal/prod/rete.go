@@ -30,6 +30,7 @@ type rete struct {
 	seeded   bool
 	seq      int // event sequence within the current batch
 	events   []alphaEvent
+	bumps    []bump      // Modify changes to member elements (agenda re-rank)
 	dirty    []*alphaMem // memories needing compaction after the batch
 	patterns int         // compiled patterns (sharing statistic)
 }
@@ -67,7 +68,10 @@ type reteRule struct {
 
 	root      *token
 	rootSlice []*token
-	cs        []*Match
+	cs        []*Match // every live instantiation, fired or not
+	agenda    []*Match // the unfired ones, in rank order (agenda.go)
+	fired     map[refraction]bool
+	stale     []*Match // rerank collection buffer
 
 	scratch   []*token // rightRetract collection buffer
 	free      []*token // recycled tokens (token churn is the hot path)
@@ -113,7 +117,7 @@ func newRete() *rete {
 // from live WM and its chain activated immediately.
 func (rt *rete) addRule(r *Rule, e *Engine) {
 	cr := compileRule(r)
-	rr := &reteRule{idx: r.index, r: r, cr: cr}
+	rr := &reteRule{idx: r.index, r: r, cr: cr, fired: e.fired}
 	rr.root = &token{binds: make([]any, len(cr.slotNames))}
 	rr.rootSlice = []*token{rr.root}
 	var prev *betaNode
@@ -199,6 +203,8 @@ func (rt *rete) resync(e *Engine) {
 		}
 		rr.root.children = rr.root.children[:0]
 		rr.cs = rr.cs[:0]
+		clear(rr.agenda)
+		rr.agenda = rr.agenda[:0]
 		rr.stats = reteBatchStats{}
 		t0 := time.Now()
 		rr.leftActivate(rr.nodes[0], rr.root, 0)
@@ -212,6 +218,7 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 	// Phase 1: classify each change against the shared memories.
 	rt.seq = 0
 	rt.events = rt.events[:0]
+	rt.bumps = rt.bumps[:0]
 	rt.dirty = rt.dirty[:0]
 	for _, ch := range changes {
 		el := ch.El
@@ -241,6 +248,9 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 				// event of this batch read final values, like all joins.
 				mem.reindexEl(el)
 				wasIn := mem.has(el)
+				if wasIn {
+					rt.bumps = append(rt.bumps, bump{mem, el})
+				}
 				if !memTestsTouch(mem, ch.Attrs) {
 					// Membership can't flip; joins may still care.
 					if wasIn && attrsTouch(mem.succAttrs, ch.Attrs) {
@@ -264,6 +274,14 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 	rt.alpha.batchEvals = 0
 	e.matchCalls += evals
 	e.met.alphaEvals += evals
+
+	// Modifies bumped time tags: restore agenda order before any
+	// propagation schedules or unschedules against it.
+	if len(rt.bumps) > 0 {
+		for _, rr := range rt.rules {
+			rr.rerank(rt.bumps)
+		}
+	}
 
 	// Phase 2: replay the event list per rule. Serial timing chains one
 	// clock read per touched rule: each touched rule is charged the span

@@ -20,12 +20,20 @@
 // Remove; between firings the network propagates only those deltas, so
 // match work is proportional to change, not to working-memory size.
 // Engine.Parallel shards beta propagation across workers (rule-striped,
-// deterministic by construction).
+// deterministic by construction). Each rule also keeps an agenda
+// (agenda.go): its unfired instantiations in conflict-resolution order,
+// with refraction checked once when an instantiation is scheduled, so
+// selecting the next firing reads the agenda tops instead of rescanning
+// the conflict set. The network keeps its own alpha memories; the working
+// memory's (class, attribute, value) index serves only the interpreted
+// matchers below and is built on their first probe.
 //
 // Two interpreted matchers are kept alongside it: Engine.Lite selects the
 // Rete-lite matcher (matcher_lite.go), which re-enumerates whole rules on
 // a (class, attribute) subscription index, and Engine.Exhaustive recomputes
-// the conflict set from scratch each cycle. Conflict-resolution semantics
+// the conflict set from scratch each cycle. Both select by scanning their
+// whole conflict set every cycle, the reference the Rete agenda is
+// checked against. Conflict-resolution semantics
 // — refraction, recency, specificity, declaration order — are bit-for-bit
 // identical across all three, and Engine.CrossCheck runs them in lockstep,
 // diffing the selected instantiation every cycle. See Engine.Metrics for
@@ -161,14 +169,17 @@ type Change struct {
 	Attrs []string
 }
 
-// WM is a working memory: the set of live elements, indexed by class and —
-// for fast joins — by every (class, attribute, value) triple. Attribute
-// values must therefore be comparable Go values (ints, strings, bools,
+// WM is a working memory: the set of live elements, indexed by class.
+// The interpreted matchers (Rete-lite and exhaustive) also probe a
+// (class, attribute, value) index; the Rete network keeps its own alpha
+// memories and never reads it, so that index is built on the first lookup
+// and maintained only from then on — a Rete-only run never pays for it.
+// Attribute values must be comparable Go values (ints, strings, bools,
 // pointers); storing a non-comparable value (slice, map, function) panics
 // with the class and attribute named.
 type WM struct {
 	byClass   map[string][]*Element
-	byAttr    map[attrKey][]*Element
+	byAttr    map[attrKey][]*Element // nil until the first lookup
 	observers []func(Change)
 	nextID    int
 	clock     int
@@ -183,7 +194,7 @@ type attrKey struct {
 
 // NewWM returns an empty working memory.
 func NewWM() *WM {
-	return &WM{byClass: map[string][]*Element{}, byAttr: map[attrKey][]*Element{}}
+	return &WM{byClass: map[string][]*Element{}}
 }
 
 // Observe registers f to receive every subsequent working-memory change.
@@ -243,12 +254,19 @@ func (w *WM) Make(class string, attrs Attrs) *Element {
 	return e
 }
 
+// index files e under (class, attr, val) once the attribute index exists.
 func (w *WM) index(e *Element, attr string, val any) {
+	if w.byAttr == nil {
+		return
+	}
 	k := attrKey{e.Class, attr, val}
 	w.byAttr[k] = append(w.byAttr[k], e)
 }
 
 func (w *WM) unindex(e *Element, attr string, val any) {
+	if w.byAttr == nil {
+		return
+	}
 	k := attrKey{e.Class, attr, val}
 	list := w.byAttr[k]
 	for i, x := range list {
@@ -259,8 +277,20 @@ func (w *WM) unindex(e *Element, attr string, val any) {
 	}
 }
 
-// lookup returns the live elements of class whose attr equals val.
+// lookup returns the live elements of class whose attr equals val,
+// building the attribute index from the class index on first use.
 func (w *WM) lookup(class, attr string, val any) []*Element {
+	if w.byAttr == nil {
+		w.byAttr = map[attrKey][]*Element{}
+		//daalint:allow detmap each bucket holds one class, filed in that class's creation order
+		for _, es := range w.byClass {
+			for _, e := range es {
+				for _, s := range e.attrs {
+					w.index(e, s.key, s.val)
+				}
+			}
+		}
+	}
 	return w.byAttr[attrKey{class, attr, val}]
 }
 

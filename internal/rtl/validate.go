@@ -209,8 +209,9 @@ func checkEndpointKind(ep Endpoint) error {
 
 func (d *Design) validateBindings() error {
 	// Carrier bindings.
+	used := d.usedCarriers()
 	for _, car := range d.Trace.Carriers {
-		if !d.carrierUsed(car) {
+		if !used[car] {
 			continue
 		}
 		switch car.Kind {
@@ -365,11 +366,16 @@ func (d *Design) validateBindings() error {
 	return nil
 }
 
-func (d *Design) carrierUsed(car *vt.Carrier) bool {
-	for _, op := range d.Trace.AllOps() {
-		if op.Carrier == car {
-			return true
+// usedCarriers returns the carriers some operator of the trace reads or
+// writes, in one pass over the operators.
+func (d *Design) usedCarriers() map[*vt.Carrier]bool {
+	used := map[*vt.Carrier]bool{}
+	for _, b := range d.Trace.Bodies {
+		for _, op := range b.Ops {
+			if op.Carrier != nil {
+				used[op.Carrier] = true
+			}
 		}
 	}
-	return false
+	return used
 }

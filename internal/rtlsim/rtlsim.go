@@ -16,15 +16,18 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/pagemem"
 	"repro/internal/rtl"
 	"repro/internal/vt"
 )
 
-// Machine executes one design.
+// Machine executes one design. Memories live in paged stores
+// (internal/pagemem), allocated a page at a time on nonzero writes, like
+// internal/sim's.
 type Machine struct {
 	d     *rtl.Design
 	regs  map[*rtl.Register]uint64
-	mems  map[*rtl.Memory][]uint64
+	mems  map[*rtl.Memory]*pagemem.Words
 	ports map[*rtl.Port]uint64
 
 	states map[string][]*rtl.State // body name -> ordered states
@@ -44,13 +47,13 @@ func New(d *rtl.Design) (*Machine, error) {
 	m := &Machine{
 		d:        d,
 		regs:     map[*rtl.Register]uint64{},
-		mems:     map[*rtl.Memory][]uint64{},
+		mems:     map[*rtl.Memory]*pagemem.Words{},
 		ports:    map[*rtl.Port]uint64{},
 		states:   map[string][]*rtl.State{},
 		MaxSteps: 1_000_000,
 	}
 	for _, mem := range d.Memories {
-		m.mems[mem] = make([]uint64, mem.Words)
+		m.mems[mem] = pagemem.New(mem.Words)
 	}
 	for _, s := range d.States {
 		m.states[s.Body] = append(m.states[s.Body], s)
@@ -137,7 +140,7 @@ func (m *Machine) SetMem(name string, addr int, v uint64) error {
 	if addr < 0 || addr >= mem.Words {
 		return fmt.Errorf("rtlsim: %s[%d] out of range", name, addr)
 	}
-	m.mems[mem][addr] = v & mask(mem.Width)
+	m.mems[mem].Set(addr, v&mask(mem.Width))
 	return nil
 }
 
@@ -154,7 +157,7 @@ func (m *Machine) Mem(name string, addr int) (uint64, error) {
 	if addr < 0 || addr >= mem.Words {
 		return 0, fmt.Errorf("rtlsim: %s[%d] out of range", name, addr)
 	}
-	return m.mems[mem][addr], nil
+	return m.mems[mem].Get(addr), nil
 }
 
 // Load copies an image into a memory starting at addr.
@@ -268,7 +271,7 @@ func (m *Machine) execOp(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64, c
 		if int(idx) >= mem.Words {
 			return false, fmt.Errorf("rtlsim: %s[%d] out of range at %s", op.Carrier.Name, idx, op.Pos)
 		}
-		wires[op.Result] = m.mems[mem][idx]
+		wires[op.Result] = m.mems[mem].Get(int(idx))
 	case vt.OpMemWrite:
 		idx, err := arg(0)
 		if err != nil {
@@ -283,7 +286,7 @@ func (m *Machine) execOp(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64, c
 			return false, fmt.Errorf("rtlsim: %s[%d] out of range at %s", op.Carrier.Name, idx, op.Pos)
 		}
 		*commits = append(*commits, func() {
-			m.mems[mem][idx] = v & mask(mem.Width)
+			m.mems[mem].Set(int(idx), v&mask(mem.Width))
 		})
 	case vt.OpSlice:
 		x, err := arg(0)

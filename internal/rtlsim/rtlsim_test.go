@@ -514,3 +514,42 @@ func TestCosimRandomInputsProperty(t *testing.T) {
 		})
 	}
 }
+
+// The design's memories are paged stores with the old flat-slice
+// behaviour at the surface: untouched words read 0, the last word of the
+// MCS6502's 64K memory is addressable, writes are masked to the word
+// width, and out-of-range accesses fail with unchanged messages.
+func TestPagedMemory(t *testing.T) {
+	tr, err := bench.Load("mcs6502")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Synthesize(tr, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := rtlsim.New(res.Design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []int{0, 0x1FF, 0xFFFF} {
+		if v, err := m.Mem("M", addr); err != nil || v != 0 {
+			t.Errorf("untouched M[%#x] = %#x, %v; want 0", addr, v, err)
+		}
+	}
+	if err := m.SetMem("M", 0xFFFF, 0x1A5); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.Mem("M", 0xFFFF); err != nil || v != 0xA5 {
+		t.Errorf("M[0xffff] = %#x, %v; want the masked 0xa5", v, err)
+	}
+	for _, addr := range []int{-1, 0x10000} {
+		want := fmt.Sprintf("rtlsim: M[%d] out of range", addr)
+		if err := m.SetMem("M", addr, 1); err == nil || err.Error() != want {
+			t.Errorf("SetMem(M, %d) = %v, want %q", addr, err, want)
+		}
+		if _, err := m.Mem("M", addr); err == nil || err.Error() != want {
+			t.Errorf("Mem(M, %d) = %v, want %q", addr, err, want)
+		}
+	}
+}

@@ -18,13 +18,17 @@ import (
 	"io"
 
 	"repro/internal/isps"
+	"repro/internal/pagemem"
 )
 
-// Machine interprets one ISPS program.
+// Machine interprets one ISPS program. Memories live in paged stores
+// (internal/pagemem): a page is allocated on its first nonzero write, so
+// building a machine for a 64K-word memory costs a page table, not the
+// whole memory.
 type Machine struct {
 	prog *isps.Program
 	regs map[*isps.Decl]uint64
-	mems map[*isps.Decl][]uint64
+	mems map[*isps.Decl]*pagemem.Words
 	// MaxSteps bounds executed statements per Run (default 1,000,000).
 	MaxSteps int
 	// Trace, when non-nil, receives one line per committed assignment —
@@ -38,12 +42,12 @@ func New(prog *isps.Program) *Machine {
 	m := &Machine{
 		prog:     prog,
 		regs:     map[*isps.Decl]uint64{},
-		mems:     map[*isps.Decl][]uint64{},
+		mems:     map[*isps.Decl]*pagemem.Words{},
 		MaxSteps: 1_000_000,
 	}
 	for _, d := range prog.Carriers() {
 		if d.Kind == isps.DeclMem {
-			m.mems[d] = make([]uint64, d.Words())
+			m.mems[d] = pagemem.New(d.Words())
 		}
 	}
 	return m
@@ -102,7 +106,7 @@ func (m *Machine) SetMem(name string, addr int, v uint64) error {
 	if addr < d.ALo || addr > d.AHi {
 		return fmt.Errorf("sim: %s[%d] outside [%d:%d]", name, addr, d.ALo, d.AHi)
 	}
-	words[addr-d.ALo] = v & mask(d.Width())
+	words.Set(addr-d.ALo, v&mask(d.Width()))
 	return nil
 }
 
@@ -119,7 +123,7 @@ func (m *Machine) Mem(name string, addr int) (uint64, error) {
 	if addr < d.ALo || addr > d.AHi {
 		return 0, fmt.Errorf("sim: %s[%d] outside [%d:%d]", name, addr, d.ALo, d.AHi)
 	}
-	return words[addr-d.ALo], nil
+	return words.Get(addr - d.ALo), nil
 }
 
 // Load copies a byte-like program image into memory starting at addr.

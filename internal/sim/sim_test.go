@@ -883,3 +883,48 @@ func TestTraceWriter(t *testing.T) {
 		t.Errorf("trace missing output drive:\n%s", out)
 	}
 }
+
+// Memories are paged stores: a 64K-word memory reads 0 everywhere until
+// written, its last word is addressable, writes are masked to the word
+// width, and out-of-range accesses fail with the same messages as ever.
+func TestPagedMemory(t *testing.T) {
+	m := machine(t, `
+processor P {
+    mem M[0:65535]<7:0> mem S[16:31]<3:0> reg A<7:0>
+    main m { A := M[0] }
+}`)
+	for _, addr := range []int{0, 4096, 65535} {
+		if v, err := m.Mem("M", addr); err != nil || v != 0 {
+			t.Errorf("untouched M[%d] = %#x, %v; want 0", addr, v, err)
+		}
+	}
+	if err := m.SetMem("M", 65535, 0x1A5); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.Mem("M", 65535); err != nil || v != 0xA5 {
+		t.Errorf("M[65535] = %#x, %v; want the masked 0xa5", v, err)
+	}
+	if err := m.SetMem("S", 31, 0xFF); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Mem("S", 31); v != 0xF {
+		t.Errorf("S[31] = %#x, want the masked 0xf", v)
+	}
+	for _, c := range []struct {
+		name string
+		addr int
+		want string
+	}{
+		{"M", 65536, "sim: M[65536] outside [0:65535]"},
+		{"M", -1, "sim: M[-1] outside [0:65535]"},
+		{"S", 15, "sim: S[15] outside [16:31]"},
+		{"S", 32, "sim: S[32] outside [16:31]"},
+	} {
+		if err := m.SetMem(c.name, c.addr, 1); err == nil || err.Error() != c.want {
+			t.Errorf("SetMem(%s, %d) = %v, want %q", c.name, c.addr, err, c.want)
+		}
+		if _, err := m.Mem(c.name, c.addr); err == nil || err.Error() != c.want {
+			t.Errorf("Mem(%s, %d) = %v, want %q", c.name, c.addr, err, c.want)
+		}
+	}
+}
