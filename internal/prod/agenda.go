@@ -62,16 +62,13 @@ func (rr *reteRule) schedule(m *Match) {
 // unschedule removes m from the agenda. m's rank must be current, which
 // rerank guarantees for every entry (see the file comment).
 func (rr *reteRule) unschedule(m *Match) {
-	m.onAgenda = false
 	ag := rr.agenda
-	last := len(ag) - 1
-	if ag[last] == m {
-		ag[last] = nil
-		rr.agenda = ag[:last]
-		return
+	// First position whose entry does not rank below m: m itself. Firing
+	// usually takes the top, so try the end first.
+	lo, hi := len(ag)-1, len(ag)-1
+	if ag[lo] != m {
+		lo = 0
 	}
-	// First position whose entry does not rank below m: m itself.
-	lo, hi := 0, last
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if outranks(m, ag[mid]) {
@@ -83,7 +80,15 @@ func (rr *reteRule) unschedule(m *Match) {
 	if ag[lo] != m {
 		panic("prod: agenda out of order: " + describeMatch(m))
 	}
-	copy(ag[lo:], ag[lo+1:])
+	rr.removeAt(lo)
+}
+
+// removeAt deletes the agenda entry at i.
+func (rr *reteRule) removeAt(i int) {
+	ag := rr.agenda
+	last := len(ag) - 1
+	ag[i].onAgenda = false
+	copy(ag[i:], ag[i+1:])
 	ag[last] = nil
 	rr.agenda = ag[:last]
 }
@@ -131,13 +136,9 @@ func (rr *reteRule) rerank(bumps []bump) {
 
 // removeStale removes m by identity: its rank no longer matches its place.
 func (rr *reteRule) removeStale(m *Match) {
-	m.onAgenda = false
 	for i, x := range rr.agenda {
 		if x == m {
-			last := len(rr.agenda) - 1
-			copy(rr.agenda[i:], rr.agenda[i+1:])
-			rr.agenda[last] = nil
-			rr.agenda = rr.agenda[:last]
+			rr.removeAt(i)
 			return
 		}
 	}

@@ -405,21 +405,16 @@ func sameInstantiation(a, b *Match) bool {
 	return true
 }
 
-// selectLite scans the Rete-lite persistent conflict set.
+// selectLite applies conflict resolution by a full scan of the Rete-lite
+// persistent conflict set; the Rete matcher reads its agenda instead
+// (agenda.go). The scan allocates nothing: refraction keys and recency
+// ranks are fixed-size values.
 func (e *Engine) selectLite(observe bool) *Match {
-	return e.pickBest(func(i int) []*Match { return e.lite.cs[i] }, observe)
-}
-
-// pickBest applies conflict resolution over per-rule conflict sets by a
-// full scan; the Rete matcher reads its agenda instead (agenda.go). The
-// scan allocates nothing: refraction keys and recency ranks are
-// fixed-size values (see BenchmarkSelectionAllocs).
-func (e *Engine) pickBest(get func(int) []*Match, observe bool) *Match {
 	size := 0
 	var best *Match
 	var bestRank recencyRank
 	for i, r := range e.rules {
-		ms := get(i)
+		ms := e.lite.cs[i]
 		size += len(ms)
 		for _, m := range ms {
 			if e.fired[refractionKey(m)] {
