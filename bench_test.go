@@ -10,6 +10,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/alloc"
@@ -239,6 +240,44 @@ func BenchmarkFlowCompileGCD(b *testing.B) {
 			}
 		}
 	})
+}
+
+// coldStreamSalt numbers the salted inputs of BenchmarkFlowCompileColdStream
+// across invocations, so no source is ever compiled twice.
+var coldStreamSalt int
+
+// BenchmarkFlowCompileColdStream prices a stream of first submissions:
+// every op compiles a fresh salted copy of all nine designs with emit and
+// cosim, the daemon's cache-miss path. No source is read twice, so the
+// front-end artifact cache only ever holds them in probation; the GC
+// share of a CPU profile (-cpuprofile) shows what they would cost live.
+func BenchmarkFlowCompileColdStream(b *testing.B) {
+	names := bench.Names()
+	ins := make([]flow.Input, len(names))
+	for i, name := range names {
+		in, err := bench.Input(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins[i] = in
+	}
+	opt := flow.Options{EmitVerilog: true, Cosim: true}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range ins {
+			coldStreamSalt++
+			in.Source = fmt.Sprintf("%s\n! cold-stream %d\n", in.Source, coldStreamSalt)
+			res, err := flow.Compile(ctx, in, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Cosim.Equivalent {
+				b.Fatalf("%s: %s", in.Name, res.Cosim.Summary())
+			}
+		}
+	}
 }
 
 // BenchmarkListScheduler prices resource-constrained scheduling over the

@@ -18,10 +18,23 @@ import (
 // same sources for the lifetime of the process — pays for the front end
 // once.
 //
-// The cache is a bounded LRU: a long-running server must not accumulate
-// front-end artifacts for every source it has ever seen. When the entry
-// cap is exceeded the least-recently-used artifact is evicted (and
-// counted); a re-submission of an evicted source simply rebuilds it.
+// The cache is a bounded, segmented LRU: a long-running server must not
+// accumulate front-end artifacts for every source it has ever seen, and
+// most sources a daemon sees (a designer's first submission) are never
+// read again. A new artifact enters the probation segment; its first hit
+// promotes it to the main segment, which is ordered by recency. Probation
+// holds at most min(cap, probationCap) never-read artifacts, so a stream
+// of one-off sources keeps almost nothing live for the GC to mark, while
+// any source read twice is retained as under a plain LRU. Eviction is
+// counted and goes in this order:
+//
+//  1. when probation exceeds its bound, its oldest entry is dropped;
+//  2. when the total exceeds cap, the main segment's least-recently-used
+//     entry is dropped, or probation's oldest when main is empty.
+//
+// A burst of one-off sources therefore cannot flush the artifacts that
+// repeated sources and explore sweeps share. A re-submission of an
+// evicted source simply rebuilds it.
 //
 // The cached value trace is pristine: it is never handed to a caller
 // directly, only as a vt.Clone, because the DAA's trace-refinement rules
@@ -38,64 +51,99 @@ type frontArtifact struct {
 // frontEntry is the cache slot: the once gate makes concurrent compilations
 // of the same source (RunAll fan-out, concurrent server requests) build
 // the artifact exactly once, even if the entry is evicted mid-build.
+// Waiters on the gate count as hits and promote the entry.
 type frontEntry struct {
-	key  [sha256.Size]byte
-	once sync.Once
-	art  *frontArtifact
-	err  error
+	key      [sha256.Size]byte
+	once     sync.Once
+	art      *frontArtifact
+	err      error
+	promoted bool // in the main segment; guarded by frontCache.mu
 }
 
-// DefaultCacheCap is the front-end artifact cache's default entry bound:
-// ample for the embedded benchmark suite plus a working set of user
-// sources, small enough that a daemon fed unique sources stays flat.
+// DefaultCacheCap is the front-end artifact cache's default entry bound,
+// over both segments: ample for the embedded benchmark suite plus a
+// working set of repeatedly read user sources. Sources read only once
+// never occupy more than probationCap of it.
 const DefaultCacheCap = 256
+
+// probationCap bounds the never-read artifacts the cache holds. Two is
+// the smallest size that keeps "compile, then compile again" a hit even
+// when another source is compiled in between.
+const probationCap = 2
 
 // CacheStats is a point-in-time snapshot of the front-end artifact cache.
 type CacheStats struct {
 	Entries   int   `json:"entries"`   // artifacts currently cached
+	Probation int   `json:"probation"` // of those, never read since built (front-end cache only)
 	Cap       int   `json:"cap"`       // entry bound
 	Hits      int64 `json:"hits"`      // lookups served from the cache
 	Misses    int64 `json:"misses"`    // lookups that had to build
 	Evictions int64 `json:"evictions"` // artifacts dropped by the LRU bound
 }
 
-// frontCache is the bounded LRU state. lru holds *frontEntry values,
-// most-recently-used at the front; index maps content hash to lru node.
+// frontCache is the segmented LRU state. Both lists hold *frontEntry
+// values, most recent at the front; index maps content hash to list node.
 var frontCache = struct {
 	mu        sync.Mutex
 	cap       int
-	lru       *list.List
+	main      *list.List // promoted entries, by recency of use
+	probation *list.List // never-read entries, by age
 	index     map[[sha256.Size]byte]*list.Element
 	hits      int64
 	misses    int64
 	evictions int64
 }{
-	cap:   DefaultCacheCap,
-	lru:   list.New(),
-	index: map[[sha256.Size]byte]*list.Element{},
+	cap:       DefaultCacheCap,
+	main:      list.New(),
+	probation: list.New(),
+	index:     map[[sha256.Size]byte]*list.Element{},
 }
 
 // lookupFront returns the cache entry for key, creating (and, past the
-// bound, evicting) under the lock; the artifact build itself runs outside.
+// bounds, evicting) under the lock; the artifact build itself runs outside.
 func lookupFront(key [sha256.Size]byte) *frontEntry {
 	c := &frontCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if node, ok := c.index[key]; ok {
 		c.hits++
-		c.lru.MoveToFront(node)
-		return node.Value.(*frontEntry)
+		e := node.Value.(*frontEntry)
+		if e.promoted {
+			c.main.MoveToFront(node)
+		} else {
+			c.probation.Remove(node)
+			e.promoted = true
+			c.index[key] = c.main.PushFront(e)
+		}
+		return e
 	}
 	c.misses++
 	e := &frontEntry{key: key}
-	c.index[key] = c.lru.PushFront(e)
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
+	c.index[key] = c.probation.PushFront(e)
+	evictFront()
+	return e
+}
+
+// evictFront restores both bounds in the documented order. The caller
+// holds frontCache.mu.
+func evictFront() {
+	c := &frontCache
+	drop := func(l *list.List) {
+		back := l.Back()
+		l.Remove(back)
 		delete(c.index, back.Value.(*frontEntry).key)
 		c.evictions++
 	}
-	return e
+	for c.probation.Len() > min(c.cap, probationCap) {
+		drop(c.probation)
+	}
+	for c.main.Len()+c.probation.Len() > c.cap {
+		if c.main.Len() > 0 {
+			drop(c.main)
+		} else {
+			drop(c.probation)
+		}
+	}
 }
 
 // FrontCacheStats snapshots the artifact cache's counters.
@@ -104,7 +152,8 @@ func FrontCacheStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:   c.lru.Len(),
+		Entries:   c.main.Len() + c.probation.Len(),
+		Probation: c.probation.Len(),
 		Cap:       c.cap,
 		Hits:      c.hits,
 		Misses:    c.misses,
@@ -113,9 +162,9 @@ func FrontCacheStats() CacheStats {
 }
 
 // SetCacheCap rebounds the artifact cache to at most n entries (n <= 0
-// restores DefaultCacheCap), evicting least-recently-used artifacts
-// immediately if the cache is over the new bound, and returns the bound
-// now in effect. Daemons size this to their expected working set.
+// restores DefaultCacheCap), evicting immediately, in the usual order, if
+// the cache is over the new bound, and returns the bound now in effect.
+// Daemons size this to their expected working set.
 func SetCacheCap(n int) int {
 	if n <= 0 {
 		n = DefaultCacheCap
@@ -124,12 +173,7 @@ func SetCacheCap(n int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cap = n
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.index, back.Value.(*frontEntry).key)
-		c.evictions++
-	}
+	evictFront()
 	return n
 }
 
@@ -139,7 +183,8 @@ func ResetCache() {
 	c := &frontCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lru.Init()
+	c.main.Init()
+	c.probation.Init()
 	c.index = map[[sha256.Size]byte]*list.Element{}
 	c.hits, c.misses, c.evictions = 0, 0, 0
 }

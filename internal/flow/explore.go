@@ -245,6 +245,9 @@ type Point struct {
 	Diags  DiagnosticList
 	// Provenance summarizes the point's journal when journaling was on.
 	Provenance *PointProvenance
+	// Equivalent is the cosim verdict when the point's options selected
+	// the cosim stage; nil otherwise.
+	Equivalent *bool
 }
 
 // Front is the result of one exploration: every point of the grid,
@@ -304,6 +307,10 @@ func Explore(ctx context.Context, in Input, base Options, grid Grid) (*Front, er
 			Cost:  res.Cost.Datapath,
 			Area:  counts.Registers + counts.Units + counts.Muxes + counts.Links + counts.Consts,
 			Steps: counts.States,
+		}
+		if res.Cosim != nil {
+			eq := res.Cosim.Equivalent
+			p.Equivalent = &eq
 		}
 		if prov := res.Provenance(); prov != nil {
 			firings, effects := res.Journal().Counts()

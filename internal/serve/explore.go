@@ -138,6 +138,9 @@ type ExplorePoint struct {
 	Diagnostics []Diagnostic `json:"diagnostics,omitempty"`
 	// Provenance summarizes the point's journal (options.provenance).
 	Provenance *PointProvenance `json:"provenance,omitempty"`
+	// Equivalent is the point's cosim verdict (present when the base
+	// options or the grid turned cosim on and the point evaluated).
+	Equivalent *bool `json:"equivalent,omitempty"`
 }
 
 // PointProvenance is the per-point journal summary.
@@ -179,6 +182,7 @@ func NewExploreResponse(front *flow.Front) *ExploreResponse {
 			Frontier:   p.Frontier,
 			Failed:     p.Failed,
 			Error:      p.Err,
+			Equivalent: p.Equivalent,
 		}
 		if !p.Failed {
 			wp.Cost, wp.Area, wp.Steps = p.Metrics.Cost, p.Metrics.Area, p.Metrics.Steps

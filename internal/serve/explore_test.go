@@ -255,3 +255,54 @@ func TestGoldenShardKeys(t *testing.T) {
 		t.Fatalf("golden file covers %d benchmarks, embedded set has %d", seen, len(bench.Names()))
 	}
 }
+
+// TestExploreCosimReportsVerdict sweeps gcd with the cosim stage on: every
+// point that evaluated carries its equivalence verdict.
+func TestExploreCosimReportsVerdict(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src, err := bench.Source("gcd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/explore", ExploreRequest{
+		Name:   "gcd.isps",
+		Source: src,
+		Grid:   map[string]GridAxis{"allocator": {"daa", "leftedge"}, "cosim": {"true"}},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var er ExploreResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Evaluated == 0 {
+		t.Fatalf("no point evaluated: %s", body)
+	}
+	for _, p := range er.Points {
+		if p.Failed {
+			continue
+		}
+		if p.Equivalent == nil || !*p.Equivalent {
+			t.Errorf("point %s: equivalent=%v, want true", p.KnobKey, p.Equivalent)
+		}
+	}
+}
+
+// TestExploreBodyWithoutCosimGolden pins the body of a sweep that does
+// not request cosim to the bytes rendered before points could carry an
+// equivalence verdict.
+func TestExploreBodyWithoutCosimGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/golden_explore_gcd.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/explore", exploreRequest(t, "gcd"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if !bytes.Equal(body, want) {
+		t.Errorf("explore body drifted from testdata/golden_explore_gcd.json:\n%s", body)
+	}
+}

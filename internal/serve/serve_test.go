@@ -767,3 +767,34 @@ func TestDesignCacheEviction(t *testing.T) {
 		t.Errorf("evicted entry served as %q, want miss", got)
 	}
 }
+
+// TestMetricsFlowCacheProbation checks /v1/metrics reports how many
+// front-end artifacts are held without ever having been read.
+func TestMetricsFlowCacheProbation(t *testing.T) {
+	flow.ResetCache()
+	t.Cleanup(flow.ResetCache)
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{
+		Name: "probation.isps", Source: "processor PROBE { reg A<3:0> main m { A := A + 1 } }",
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("synthesize: %d %s", resp.StatusCode, body)
+	}
+	code, body := postGet(t, ts.URL+"/v1/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics: %d", code)
+	}
+	var m struct {
+		FlowCache map[string]int64 `json:"flowCache"`
+	}
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatalf("metrics unmarshal: %v\n%s", err, body)
+	}
+	got, ok := m.FlowCache["probation"]
+	if !ok {
+		t.Fatalf("flowCache has no probation field: %v", m.FlowCache)
+	}
+	if got != 1 || m.FlowCache["entries"] != 1 {
+		t.Errorf("flowCache %v, want the one never-read artifact in probation", m.FlowCache)
+	}
+}
