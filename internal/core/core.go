@@ -145,21 +145,12 @@ func Synthesize(trace *vt.Program, opt Options) (*Result, error) {
 // runaway rule set returns promptly with the context's error and no
 // partial design.
 func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Result, error) {
-	s := newSynth(trace, opt)
-	phases := []struct {
-		name  string
-		rules func() []*prod.Rule
-		seed  func(*prod.WM)
-		post  func() error
-	}{
-		{"trace", s.traceRules, s.seedTrace, s.finishTrace},
-		{"data-memory", s.dataMemoryRules, s.seedDataMemory, nil},
-		{"control", s.controlRules, s.seedControl, s.finishControl},
-		{"operators", s.operatorRules, s.seedOperators, nil},
-		{"values", s.valueRules, s.seedValues, nil},
-		{"datapath", s.datapathRules, s.seedDatapath, nil},
-		{"cleanup", s.cleanupRules, s.seedCleanup, s.finishCleanup},
-	}
+	return newSynth(trace, opt).synthesize(ctx)
+}
+
+// synthesize runs every enabled phase and assembles the result.
+func (s *synth) synthesize(ctx context.Context) (*Result, error) {
+	opt := s.opt
 	start := time.Now()
 	var stats Stats
 	for _, ph := range phases {
@@ -172,63 +163,14 @@ func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Re
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: phase %s: %w", ph.name, err)
 		}
-		t0 := time.Now()
-		wm := prod.NewWM()
-		eng := prod.NewEngine(wm)
-		if ctx.Done() != nil {
-			eng.Interrupt = ctx.Err
-		}
-		eng.TraceWriter = opt.Trace
-		eng.Exhaustive = opt.ExhaustiveMatch
-		eng.Lite = opt.LiteMatch
-		eng.CrossCheck = opt.CrossCheckMatch
-		eng.Parallel = opt.ParallelMatch
-		eng.Apply = s.applyEffect
-		s.phase = ph.name
-		s.seq = eng.Firings
-		if opt.Journal {
-			s.journal.Phases = append(s.journal.Phases, PhaseJournal{
-				Phase: ph.name,
-				J:     eng.RecordJournal(encodeRef),
-			})
-		}
-		rules := ph.rules()
-		if ph.name == "cleanup" {
-			rules = append(rules, opt.ExtraRules...)
-		}
-		for _, r := range rules {
-			eng.AddRule(r)
-		}
-		ph.seed(wm)
-		if err := eng.Run(); err != nil {
+		st, err := s.runPhase(ctx, ph)
+		if err != nil {
 			return nil, fmt.Errorf("core: phase %s: %w", ph.name, err)
 		}
-		if s.err != nil {
-			return nil, fmt.Errorf("core: phase %s: %w", ph.name, s.err)
-		}
-		if s.prov != nil {
-			// Post-phase hooks run outside any firing; rewire attributes
-			// its components explicitly.
-			s.prov.cur = FiringRef{}
-		}
-		if ph.post != nil {
-			if err := ph.post(); err != nil {
-				return nil, fmt.Errorf("core: phase %s: %w", ph.name, err)
-			}
-		}
-		stats.Phases = append(stats.Phases, PhaseStats{
-			Name:    ph.name,
-			Rules:   len(rules),
-			Firings: eng.Firings(),
-			Cycles:  eng.Cycles(),
-			WMPeak:  wm.Peak(),
-			Elapsed: time.Since(t0),
-			Counts:  s.d.Counts(),
-			Engine:  eng.Metrics(),
-		})
-		stats.TotalFirings += eng.Firings()
-		stats.TotalMatchCalls += eng.MatchCount()
-		stats.TotalCycles += eng.Cycles()
+		stats.Phases = append(stats.Phases, st)
+		stats.TotalFirings += st.Firings
+		stats.TotalMatchCalls += st.Engine.MatchCalls
+		stats.TotalCycles += st.Cycles
 	}
 	stats.Elapsed = time.Since(start)
 	if err := s.d.Validate(); err != nil {
@@ -242,25 +184,122 @@ func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Re
 	return res, nil
 }
 
-// KnowledgeBase returns the full rule set grouped by phase, for the
-// knowledge-base inventory (experiment E1). The rules are built against an
-// empty design and must not be fired.
-func KnowledgeBase() map[string][]*prod.Rule {
-	tr := &vt.Program{Name: "kb"}
-	s := newSynth(tr, Options{})
-	return map[string][]*prod.Rule{
-		"trace":       s.traceRules(),
-		"data-memory": s.dataMemoryRules(),
-		"control":     s.controlRules(),
-		"operators":   s.operatorRules(),
-		"values":      s.valueRules(),
-		"datapath":    s.datapathRules(),
-		"cleanup":     s.cleanupRules(),
+// phase is one DAA phase: its rule set, compiled into a process-wide pool
+// of engines, plus the per-run seeding and post-phase hooks.
+type phase struct {
+	name string
+	pool *prod.Pool
+	seed func(*synth, *prod.WM)
+	post func(*synth) error
+}
+
+// phases lists the DAA phases in execution order. The rule sets are
+// package-level values and reach the run's synth through Engine.Host, so
+// each set compiles into engines once per process and every synthesis
+// recycles them.
+var phases = []phase{
+	{"trace", prod.NewPool(traceRules), (*synth).seedTrace, (*synth).finishTrace},
+	{"data-memory", prod.NewPool(dataMemoryRules), (*synth).seedDataMemory, nil},
+	{"control", prod.NewPool(controlRules), (*synth).seedControl, (*synth).finishControl},
+	{"operators", prod.NewPool(operatorRules), (*synth).seedOperators, nil},
+	{"values", prod.NewPool(valueRules), (*synth).seedValues, nil},
+	{"datapath", prod.NewPool(datapathRules), (*synth).seedDatapath, nil},
+	{"cleanup", prod.NewPool(cleanupRules), (*synth).seedCleanup, (*synth).finishCleanup},
+}
+
+// runPhase runs one phase's rule set to quiescence over a fresh working
+// memory, then its post-phase hook. The engine comes from the phase's
+// pool and goes back to it once its counts are read — unless
+// Options.ExtraRules extend the cleanup rules, which takes a one-off
+// engine built for this run alone.
+func (s *synth) runPhase(ctx context.Context, ph phase) (PhaseStats, error) {
+	t0 := time.Now()
+	wm := prod.NewWM()
+	rules := ph.pool.Rules()
+	var eng *prod.Engine
+	pooled := !(ph.name == "cleanup" && len(s.opt.ExtraRules) > 0)
+	if pooled {
+		eng = ph.pool.Get(wm)
+	} else {
+		rules = append(rules[:len(rules):len(rules)], s.opt.ExtraRules...)
+		eng = prod.NewEngine(wm)
+		for _, r := range rules {
+			eng.AddRule(r)
+		}
 	}
+	if ctx.Done() != nil {
+		eng.Interrupt = ctx.Err
+	}
+	eng.TraceWriter = s.opt.Trace
+	eng.Exhaustive = s.opt.ExhaustiveMatch
+	eng.Lite = s.opt.LiteMatch
+	eng.CrossCheck = s.opt.CrossCheckMatch
+	eng.Parallel = s.opt.ParallelMatch
+	eng.Apply = s.applyEffect
+	eng.Host = s
+	s.phase = ph.name
+	s.seq = eng.Firings
+	if s.opt.Journal {
+		s.journal.Phases = append(s.journal.Phases, PhaseJournal{
+			Phase: ph.name,
+			J:     eng.RecordJournal(encodeRef),
+		})
+	}
+	ph.seed(s, wm)
+	err := eng.Run()
+	st := PhaseStats{
+		Name:    ph.name,
+		Rules:   len(rules),
+		Firings: eng.Firings(),
+		Cycles:  eng.Cycles(),
+		WMPeak:  wm.Peak(),
+		Engine:  eng.Metrics(),
+	}
+	s.seq = noSeq
+	if pooled {
+		ph.pool.Put(eng)
+	}
+	if err != nil {
+		return st, err
+	}
+	if s.err != nil {
+		return st, s.err
+	}
+	if s.prov != nil {
+		// Post-phase hooks run outside any firing; rewire attributes
+		// its components explicitly.
+		s.prov.cur = FiringRef{}
+	}
+	if ph.post != nil {
+		if err := ph.post(s); err != nil {
+			return st, err
+		}
+	}
+	st.Elapsed = time.Since(t0)
+	st.Counts = s.d.Counts()
+	return st, nil
+}
+
+// KnowledgeBase returns the full rule set grouped by phase, for the
+// knowledge-base inventory (experiment E1) and the rule linter. The
+// slices are the shared, package-level sets every synthesis compiles its
+// engines from: callers must not modify them or the rules they hold.
+func KnowledgeBase() map[string][]*prod.Rule {
+	kb := make(map[string][]*prod.Rule, len(phases))
+	for _, ph := range phases {
+		kb[ph.name] = ph.pool.Rules()
+	}
+	return kb
 }
 
 // PhaseOrder lists the phases in execution order.
-var PhaseOrder = []string{"trace", "data-memory", "control", "operators", "values", "datapath", "cleanup"}
+var PhaseOrder = func() []string {
+	names := make([]string, len(phases))
+	for i, ph := range phases {
+		names[i] = ph.name
+	}
+	return names
+}()
 
 // synth carries the mutable synthesis state shared by rule actions.
 type synth struct {
@@ -330,7 +369,7 @@ func newSynth(trace *vt.Program, opt Options) *synth {
 		bodyLen:  map[*vt.Body]int{},
 		unitBusy: map[unitState]bool{},
 		regVals:  map[*rtl.Register][]*vt.Value{},
-		seq:      func() int { return 0 },
+		seq:      noSeq,
 	}
 	if opt.Journal {
 		s.journal = &Journal{Design: s.d.Name}
@@ -361,8 +400,13 @@ func (s *synth) usage(body *vt.Body, step int) *stepUsage {
 	return u
 }
 
-// fail records the first rule-action error and halts the engine.
-func (s *synth) fail(tx *prod.Tx, err error) {
+// noSeq is synth.seq outside a phase run: no firing is current.
+func noSeq() int { return 0 }
+
+// fail records the first rule-action error on the run's synth and halts
+// the engine.
+func fail(tx *prod.Tx, err error) {
+	s := tx.Host().(*synth)
 	if s.err == nil {
 		s.err = err
 	}

@@ -429,17 +429,14 @@ func Replay(trace *vt.Program, j *Journal, opt Options) (*rtl.Design, error) {
 		if err := rep.Run(pj.J); err != nil {
 			return nil, fmt.Errorf("core: replay phase %s: %w", pj.Phase, err)
 		}
-		var post func() error
-		switch pj.Phase {
-		case "trace":
-			post = s.finishTrace
-		case "control":
-			post = s.finishControl
-		case "cleanup":
-			post = s.finishCleanup
+		var post func(*synth) error
+		for _, ph := range phases {
+			if ph.name == pj.Phase {
+				post = ph.post
+			}
 		}
 		if post != nil {
-			if err := post(); err != nil {
+			if err := post(s); err != nil {
 				return nil, fmt.Errorf("core: replay phase %s: %w", pj.Phase, err)
 			}
 		}

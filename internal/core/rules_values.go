@@ -32,8 +32,9 @@ func (s *synth) seedValues(wm *prod.WM) {
 	}
 }
 
-func (s *synth) valueRules() []*prod.Rule {
-	share := &prod.Rule{
+// valueRules is phase 4's rule set.
+var valueRules = []*prod.Rule{
+	{
 		Name:     "share-holding-register",
 		Category: "values",
 		Doc:      "Park a value in an existing register of its body whose previous occupant died before this value is born.",
@@ -47,14 +48,14 @@ func (s *synth) valueRules() []*prod.Rule {
 			v := valEl.Get("val").(*vt.Value)
 			r := trEl.Get("reg").(*rtl.Register)
 			if _, err := tx.Do("share-value-reg", v, r); err != nil {
-				s.fail(tx, err)
+				fail(tx, err)
 				return
 			}
 			tx.Modify(trEl, prod.Attrs{"hi": valEl.Int("hi")})
 			tx.Modify(valEl, prod.Attrs{"bound": true})
 		},
-	}
-	allocate := &prod.Rule{
+	},
+	{
 		Name:     "allocate-holding-register",
 		Category: "values",
 		Doc:      "No register of this body is free over the value's lifetime: allocate a new holding register.",
@@ -64,7 +65,7 @@ func (s *synth) valueRules() []*prod.Rule {
 			v := valEl.Get("val").(*vt.Value)
 			res, err := tx.Do("alloc-value-reg", v)
 			if err != nil {
-				s.fail(tx, err)
+				fail(tx, err)
 				return
 			}
 			tx.Make("track", prod.Attrs{
@@ -74,6 +75,5 @@ func (s *synth) valueRules() []*prod.Rule {
 			})
 			tx.Modify(valEl, prod.Attrs{"bound": true})
 		},
-	}
-	return []*prod.Rule{share, allocate}
+	},
 }

@@ -217,14 +217,15 @@ func (mem *alphaMem) compact() {
 	mem.dirty = false
 }
 
-// reset empties the memory (lockstep resync after another matcher drove
-// the engine).
+// reset empties the memory (seeding, lockstep resync after another
+// matcher drove the engine, and the pool's scrub), dropping every element
+// reference, stale slots past the entries' length included.
 func (mem *alphaMem) reset() {
-	mem.entries = mem.entries[:0]
+	mem.entries = scrubSlice(mem.entries)
 	clear(mem.idx)
 	mem.dirty = false
 	for _, ix := range mem.indexes {
-		ix.keys = ix.keys[:0]
+		ix.keys = scrubSlice(ix.keys)
 		clear(ix.bucket)
 	}
 }

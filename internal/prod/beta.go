@@ -62,6 +62,7 @@ type token struct {
 	children []*token
 
 	idx        int        // position in node.tokens (swap-remove)
+	childIdx   int        // position in parent.children (swap-remove)
 	negMatches []*Element // negative nodes: current blockers
 	match      *Match     // production level: conflict-set entry
 	matchIdx   int
@@ -169,6 +170,7 @@ func (rr *reteRule) extend(n *betaNode, left *token, el *Element, s int) {
 		if k := len(rr.bindsFree); k > 0 {
 			binds = rr.bindsFree[k-1]
 			rr.bindsFree = rr.bindsFree[:k-1]
+			rr.bindsLow = min(rr.bindsLow, k-1)
 		} else {
 			binds = make([]any, len(rr.cr.slotNames))
 		}
@@ -187,6 +189,7 @@ func (rr *reteRule) extend(n *betaNode, left *token, el *Element, s int) {
 func (rr *reteRule) attach(n *betaNode, left *token, t *token) {
 	t.idx = len(n.tokens)
 	n.tokens = append(n.tokens, t)
+	t.childIdx = len(left.children)
 	left.children = append(left.children, t)
 	if n.succIdx != nil {
 		k := t.binds[n.next.hashSlot]
@@ -385,14 +388,16 @@ func (rr *reteRule) deleteToken(t *token) {
 			}
 		}
 	}
+	// Unlink from the parent in O(1). The index check matters: block
+	// empties a parent's children before deleting them, so those children
+	// are no longer in the list they index.
 	if p := t.parent; p != nil && !p.dead {
-		for i, c := range p.children {
-			if c == t {
-				l := len(p.children) - 1
-				p.children[i] = p.children[l]
-				p.children = p.children[:l]
-				break
-			}
+		if i := t.childIdx; i < len(p.children) && p.children[i] == t {
+			l := len(p.children) - 1
+			moved := p.children[l]
+			p.children[i] = moved
+			moved.childIdx = i
+			p.children = p.children[:l]
 		}
 	}
 	rr.block(t)

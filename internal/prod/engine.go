@@ -17,14 +17,21 @@ type Rule struct {
 	// Where, when non-nil, is an extra join test over the full match. It is
 	// re-evaluated on every cycle an instantiation is considered, so it may
 	// read state outside working memory (the DAA rules consult the growing
-	// RTL design); it must not mutate anything.
+	// RTL design, reached through Match.Host); it must not mutate anything.
 	Where func(*Match) bool
 	// Action fires the rule. It receives a transaction handle: every
 	// working-memory operation (make/modify/remove), halt, and registered
 	// host effect (Tx.Do) goes through the Tx, which is how the effect
 	// journal sees them.
+	//
+	// Neither Action nor Where may capture per-run state: a rule set is
+	// compiled once and its engines are recycled across runs (Pool), so a
+	// closure over one run's state would read it in every later run. Per-run
+	// state travels on the engine instead, as Engine.Host, and rules reach
+	// it through Tx.Host and Match.Host.
 	Action func(*Tx, *Match)
 
+	eng         *Engine // the engine this private copy is registered with
 	index       int
 	specificity int
 	positives   int
@@ -89,6 +96,12 @@ type Engine struct {
 	// appliers must be pure applications of decisions already in the
 	// arguments (no re-deciding), because replay re-invokes them verbatim.
 	Apply func(name string, args []any) (any, error)
+	// Host is the run's host state, handed to rule actions and Where tests
+	// through Tx.Host and Match.Host. It is the only channel from a run to
+	// its rules, which is what lets one compiled engine serve every run.
+	Host any
+
+	pool *Pool // the pool that built the engine; nil for NewEngine engines
 
 	halted     bool
 	fired      map[refraction]bool
@@ -142,8 +155,7 @@ const (
 // by the initial full match.
 func NewEngine(wm *WM) *Engine {
 	e := &Engine{
-		WM:         wm,
-		MaxFirings: 1_000_000,
+		MaxFirings: defaultMaxFirings,
 		fired:      map[refraction]bool{},
 		rete:       newRete(),
 		lite: liteState{
@@ -151,13 +163,26 @@ func NewEngine(wm *WM) *Engine {
 			subAttr:  map[classAttr][]int{},
 		},
 	}
-	wm.Observe(func(c Change) {
-		e.pending = append(e.pending, c)
-		if e.jr != nil {
-			e.recordChange(c)
-		}
-	})
+	e.attach(wm)
 	return e
+}
+
+// defaultMaxFirings is NewEngine's runaway guard.
+const defaultMaxFirings = 1_000_000
+
+// attach makes wm the engine's working memory and subscribes the engine
+// to its change stream.
+func (e *Engine) attach(wm *WM) {
+	e.WM = wm
+	wm.Observe(e.observe)
+}
+
+// observe buffers one WM change for the next cycle's match.
+func (e *Engine) observe(c Change) {
+	e.pending = append(e.pending, c)
+	if e.jr != nil {
+		e.recordChange(c)
+	}
 }
 
 // AddRule registers a rule. Registration order is the final conflict-
@@ -182,6 +207,7 @@ func (e *Engine) AddRule(r *Rule) {
 		panic(fmt.Sprintf("prod: rule %s: first pattern must be positive", r.Name))
 	}
 	rc := *r
+	rc.eng = e
 	rc.index = len(e.rules)
 	// Rule values are shared across engines (and across goroutines when
 	// the flow pool runs synthesis concurrently), so flatten the builder

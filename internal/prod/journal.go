@@ -329,6 +329,10 @@ func (t *Tx) Halt() {
 	t.e.Halt()
 }
 
+// Host returns the engine's host state (Engine.Host): the per-run state
+// a compiled rule set acts on.
+func (t *Tx) Host() any { return t.e.Host }
+
 // Firings reports the number of firings so far, this one included; hosts
 // use it to attribute state they build outside working memory.
 func (t *Tx) Firings() int { return t.e.firings }

@@ -77,7 +77,7 @@ type RuleMetrics struct {
 	Rebuilds    int           // full re-enumerations of its instantiations
 	Deltas      int           // incremental updates seeded on changed elements
 	MatchCalls  int           // pattern tests executed on its behalf
-	MatchTime   time.Duration // wall time spent re-enumerating it
+	MatchTime   time.Duration // wall time spent matching it (apportioned; see Metrics)
 	Added       int           // instantiations that entered the conflict set
 	Invalidated int           // instantiations that left it
 	Size        int           // instantiations currently in the conflict set
@@ -86,6 +86,13 @@ type RuleMetrics struct {
 // Metrics is a point-in-time snapshot of the engine's match-cost
 // observability layer: where the recognize-act loop spends its time, how
 // much churn the conflict set sees, and how large it runs.
+//
+// MatchTime is measured; its per-rule split is partly apportioned. Serial
+// Rete propagation reads the clock twice per batch and divides the span
+// over the rules the batch touched by their work (join tests, token
+// asserts and retracts, plus one), so RuleMetrics.MatchTime is an estimate
+// there while the total stays exact. Parallel propagation, seeding and the
+// interpreted matchers time each rule directly.
 type Metrics struct {
 	Cycles      int
 	Firings     int

@@ -223,6 +223,10 @@ type Match struct {
 	onAgenda bool
 }
 
+// Host returns the host state of the engine that produced the match
+// (Engine.Host); Where tests reach per-run state through it.
+func (m *Match) Host() any { return m.Rule.eng.Host }
+
 // El returns the element matched by the i-th positive pattern.
 func (m *Match) El(i int) *Element { return m.Elements[i] }
 

@@ -76,7 +76,10 @@ type reteRule struct {
 	scratch   []*token // rightRetract collection buffer
 	free      []*token // recycled tokens (token churn is the hot path)
 	bindsFree [][]any  // recycled binding vectors (all len(slotNames))
-	stats     reteBatchStats
+	// freeLow and bindsLow are the free lists' low-water marks since the
+	// last scrub (pool.go): entries below them sat idle through the run.
+	freeLow, bindsLow int
+	stats             reteBatchStats
 }
 
 // nodesFor returns the rule's nodes on mem, innermost (deepest) first.
@@ -92,6 +95,7 @@ func (rr *reteRule) newToken() *token {
 	if n := len(rr.free); n > 0 {
 		t := rr.free[n-1]
 		rr.free = rr.free[:n-1]
+		rr.freeLow = min(rr.freeLow, n-1)
 		*t = token{children: t.children[:0], negMatches: t.negMatches[:0]}
 		return t
 	}
@@ -106,6 +110,13 @@ type reteBatchStats struct {
 	matchAdds, matchDels int
 	elapsed              time.Duration
 	touched              bool
+}
+
+// work weighs the batch's share of a rule for apportioning serial match
+// time: its join tests, token asserts and retracts, plus one for the
+// relevance scan every touched rule pays.
+func (st *reteBatchStats) work() int64 {
+	return int64(st.joinTests + st.asserts + st.retracts + 1)
 }
 
 func newRete() *rete {
@@ -187,19 +198,7 @@ func (rt *rete) resync(e *Engine) {
 	e.met.alphaEvals += evals
 	for _, rr := range rt.rules {
 		for _, n := range rr.nodes {
-			// Sweep the discarded tokens (and their owned binding vectors)
-			// into the rule's free lists before rebuilding.
-			for _, t := range n.tokens {
-				if t.el != nil && len(n.projs) > 0 {
-					rr.bindsFree = append(rr.bindsFree, t.binds)
-				}
-				rr.free = append(rr.free, t)
-			}
-			n.tokens = n.tokens[:0]
-			// Drop the lazy token indexes; the next probe rebuilds them.
-			n.succIdx = nil
-			n.negIdx = nil
-			n.elIdx = nil
+			rr.freeTokens(n)
 		}
 		rr.root.children = rr.root.children[:0]
 		rr.cs = rr.cs[:0]
@@ -211,6 +210,20 @@ func (rt *rete) resync(e *Engine) {
 		rr.stats.elapsed = time.Since(t0)
 		rt.foldRule(e, rr, true)
 	}
+}
+
+// freeTokens sweeps node n's stored tokens, and the binding vectors they
+// own, into the rule's free lists, and drops the lazy token indexes; the
+// next probe rebuilds them.
+func (rr *reteRule) freeTokens(n *betaNode) {
+	for _, t := range n.tokens {
+		if t.el != nil && len(n.projs) > 0 {
+			rr.bindsFree = append(rr.bindsFree, t.binds)
+		}
+		rr.free = append(rr.free, t)
+	}
+	n.tokens = n.tokens[:0]
+	n.succIdx, n.negIdx, n.elIdx = nil, nil, nil
 }
 
 // apply propagates one batch of WM changes through the network.
@@ -283,23 +296,23 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 		}
 	}
 
-	// Phase 2: replay the event list per rule. Serial timing chains one
-	// clock read per touched rule: each touched rule is charged the span
-	// since the previous read, which folds the (nanosecond-scale) relevance
-	// scans of untouched rules in between into its figure but keeps the
-	// total exact.
+	// Phase 2: replay the event list per rule. The serial path reads the
+	// clock twice per batch and apportions the span over the touched rules
+	// by their work (apportion): per-rule figures are estimates, the total
+	// is exact. Clock reads cost enough to show in profiles, and a batch
+	// touches a dozen rules or more.
 	if len(rt.events) > 0 {
 		if e.Parallel > 1 {
 			rt.processParallel(e.Parallel)
 		} else {
 			t0 := time.Now()
+			var work int64
 			for _, rr := range rt.rules {
 				if rr.processEvents(rt.events) {
-					t1 := time.Now()
-					rr.stats.elapsed += t1.Sub(t0)
-					t0 = t1
+					work += rr.stats.work()
 				}
 			}
+			rt.apportion(time.Since(t0), work)
 		}
 	}
 
@@ -311,6 +324,23 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 	}
 	for _, mem := range rt.dirty {
 		mem.compact()
+	}
+}
+
+// apportion splits a serial batch's elapsed time over the touched rules
+// in proportion to their work (total is the sum of their weights). Each
+// rule is charged the difference of the cumulative shares, so the charges
+// sum to elapsed exactly despite integer rounding.
+func (rt *rete) apportion(elapsed time.Duration, total int64) {
+	var cum, charged int64
+	for _, rr := range rt.rules {
+		if !rr.stats.touched {
+			continue
+		}
+		cum += rr.stats.work()
+		upTo := int64(elapsed) * cum / total
+		rr.stats.elapsed += time.Duration(upTo - charged)
+		charged = upTo
 	}
 }
 
@@ -347,8 +377,8 @@ func attrsTouch(set map[string]bool, attrs []string) bool {
 // processEvents replays a batch's event list against one rule's chain and
 // reports whether the rule was touched. Timing is the caller's job: clock
 // reads are expensive enough to show in profiles, so the serial path
-// chains a single read per touched rule (rete.apply) instead of bracketing
-// every call here.
+// times the whole batch and apportions it (rete.apply) instead of
+// bracketing every call here.
 func (rr *reteRule) processEvents(evs []alphaEvent) bool {
 	relevant := false
 	for i := range evs {

@@ -236,7 +236,7 @@ func (a Attrs) sortedKeys() []string {
 // Make creates a new element of the given class.
 func (w *WM) Make(class string, attrs Attrs) *Element {
 	w.clock++
-	e := &Element{ID: w.nextID, Class: class, Time: w.clock}
+	e := &Element{ID: w.nextID, Class: class, Time: w.clock, attrs: make([]attrSlot, 0, len(attrs))}
 	w.nextID++
 	for _, k := range attrs.sortedKeys() {
 		if v := attrs[k]; v != nil {

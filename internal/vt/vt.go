@@ -301,7 +301,7 @@ func (p *Program) BodyByName(name string) *Body {
 
 // Ops returns every operator in the trace, in body order then program order.
 func (p *Program) AllOps() []*Op {
-	var out []*Op
+	out := make([]*Op, 0, p.OpCount())
 	for _, b := range p.Bodies {
 		out = append(out, b.Ops...)
 	}
