@@ -15,9 +15,7 @@
 //	daa -bench gcd -flow                emit the controller graph as DOT
 //	daa -bench gcd -no-cleanup          skip the global-improvement phase
 //	daa -bench gcd -engine-stats        print the production-engine metrics
-//	daa -bench gcd -exhaustive          disable incremental matching
-//	daa -bench gcd -lite                use the interpreted Rete-lite matcher
-//	daa -bench gcd -parallel-match 4    shard beta propagation across workers
+//	daa -bench gcd -exhaustive          use the interpreted exhaustive matcher
 //	daa -bench gcd -stage-timing        print per-stage pipeline wall time
 //	daa -bench gcd -explore 'allocator=daa,leftedge cleanup=true,false'
 //	                                    sweep a knob grid, print the Pareto front
@@ -58,8 +56,6 @@ type options struct {
 	stats       bool
 	engineStats bool
 	exhaustive  bool
-	lite        bool
-	parallel    int
 	control     bool
 	verilog     bool
 	verify      bool
@@ -88,8 +84,6 @@ func main() {
 	flag.BoolVar(&o.stats, "stats", true, "print synthesis statistics (daa only)")
 	flag.BoolVar(&o.engineStats, "engine-stats", false, "print production-engine metrics: per-rule match cost, conflict-set statistics (daa only)")
 	flag.BoolVar(&o.exhaustive, "exhaustive", false, "disable incremental conflict-set maintenance (daa only; for comparison)")
-	flag.BoolVar(&o.lite, "lite", false, "use the interpreted Rete-lite matcher instead of the compiled network (daa only; for comparison)")
-	flag.IntVar(&o.parallel, "parallel-match", 0, "shard Rete beta propagation across this many workers (0 = serial)")
 	flag.BoolVar(&o.control, "control", false, "print the derived control-signal table")
 	flag.BoolVar(&o.verilog, "verilog", false, "emit the datapath as structural Verilog and exit")
 	flag.BoolVar(&o.verify, "verify", false, "co-simulate the behavioral description against the synthesized design and report an equivalence verdict (a mismatch exits 3)")
@@ -143,8 +137,6 @@ func run(w io.Writer, o options) error {
 		Core: core.Options{
 			DisableCleanup:  o.noCleanup,
 			ExhaustiveMatch: o.exhaustive,
-			LiteMatch:       o.lite,
-			ParallelMatch:   o.parallel,
 			Journal:         o.explain != "" || o.journal != "",
 		},
 		EmitVerilog: o.verilog || o.emitVerilog != "",
@@ -183,7 +175,7 @@ func run(w io.Writer, o options) error {
 			writeStats(w, res.Synth.Stats)
 		}
 		if o.engineStats {
-			writeEngineStats(w, res.Synth.Stats, o.exhaustive, o.lite)
+			writeEngineStats(w, res.Synth.Stats, o.exhaustive)
 		}
 	}
 
@@ -337,13 +329,10 @@ func writeStats(w io.Writer, stats core.Stats) {
 // writeEngineStats prints the production-engine observability section: the
 // matcher's cost per phase, the match network's shape and activity, and the
 // most expensive rules to match.
-func writeEngineStats(w io.Writer, stats core.Stats, exhaustive, lite bool) {
-	switch {
-	case exhaustive:
+func writeEngineStats(w io.Writer, stats core.Stats, exhaustive bool) {
+	if exhaustive {
 		fmt.Fprintln(w, "engine statistics (exhaustive matcher; incremental counters inactive):")
-	case lite:
-		fmt.Fprintln(w, "engine statistics (Rete-lite matcher; network counters inactive):")
-	default:
+	} else {
 		fmt.Fprintln(w, "engine statistics (compiled Rete network):")
 	}
 	for _, ph := range stats.Phases {
@@ -352,7 +341,7 @@ func writeEngineStats(w io.Writer, stats core.Stats, exhaustive, lite bool) {
 			ph.Name, m.Deltas, m.Rebuilds, m.Added, m.Invalidated, m.ConflictPeak, m.ConflictMean)
 	}
 	agg := stats.EngineMetrics()
-	if !exhaustive && !lite {
+	if !exhaustive {
 		fmt.Fprintf(w, "  network: alpha tests=%d mems=%d (patterns=%d) join nodes=%d neg nodes=%d\n",
 			agg.AlphaTests, agg.AlphaMems, agg.AlphaPatterns, agg.JoinNodes, agg.NegNodes)
 		fmt.Fprintf(w, "  activity: alpha evals=%d join tests=%d tokens +%d -%d (live %d)\n",

@@ -57,6 +57,29 @@ func TestRemoteExplainMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestRemoteExploreMatchesLocal pins the -explore -json contract: a local
+// sweep prints exactly the daemon's response body, with default flags and
+// with -exhaustive, whose matcher selection must not reach the keys.
+func TestRemoteExploreMatchesLocal(t *testing.T) {
+	ts := newDaemon(t)
+	for _, exhaustive := range []bool{false, true} {
+		o := options{benchName: "gcd", allocator: "daa", exhaustive: exhaustive,
+			exploreSpec: "cleanup=true,false", exploreJSON: true}
+		var local, remote strings.Builder
+		if err := run(&local, o); err != nil {
+			t.Fatal(err)
+		}
+		o.remote = ts.URL
+		if err := run(&remote, o); err != nil {
+			t.Fatal(err)
+		}
+		if local.String() != remote.String() {
+			t.Errorf("exhaustive=%t: remote explore differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
+				exhaustive, local.String(), remote.String())
+		}
+	}
+}
+
 func TestRemoteJournalIsUsageError(t *testing.T) {
 	err := runQuiet(options{benchName: "gcd", allocator: "daa", remote: "http://localhost:1", journal: "x.jnl"})
 	if flow.ExitCode(err) != flow.ExitUsage {

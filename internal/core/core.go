@@ -53,22 +53,15 @@ type Options struct {
 	ExtraRules []*prod.Rule
 	// Trace, when non-nil, receives one line per rule firing.
 	Trace io.Writer
-	// ExhaustiveMatch runs every phase engine with full per-cycle
-	// re-matching instead of incremental conflict-set maintenance, for
-	// comparison and debugging.
+	// ExhaustiveMatch runs every phase engine with the interpreted
+	// exhaustive matcher, full per-cycle re-matching, instead of the
+	// compiled Rete network, for comparison and debugging. The firing
+	// sequence, and so the design, is identical.
 	ExhaustiveMatch bool
-	// LiteMatch runs every phase engine with the interpreted incremental
-	// matcher (Rete-lite) instead of the compiled Rete network, as a
-	// benchmarking baseline. ExhaustiveMatch takes precedence.
-	LiteMatch bool
-	// CrossCheckMatch runs all three matchers (Rete, Rete-lite,
-	// exhaustive) in lockstep, panicking on any divergence in the selected
-	// instantiation (the equivalence tests use this).
+	// CrossCheckMatch runs the Rete network and the exhaustive matcher in
+	// lockstep, panicking on any divergence in the selected instantiation
+	// (the equivalence tests use this).
 	CrossCheckMatch bool
-	// ParallelMatch, when > 1, shards Rete beta propagation across that
-	// many worker goroutines per phase engine. The firing sequence is
-	// identical to single-threaded matching.
-	ParallelMatch int
 	// Journal records every rule firing's effects and builds the
 	// provenance index; Result.Journal and Result.Provenance are nil
 	// without it. Off by default: the hot path pays only a nil check.
@@ -232,9 +225,7 @@ func (s *synth) runPhase(ctx context.Context, ph phase) (PhaseStats, error) {
 	}
 	eng.TraceWriter = s.opt.Trace
 	eng.Exhaustive = s.opt.ExhaustiveMatch
-	eng.Lite = s.opt.LiteMatch
 	eng.CrossCheck = s.opt.CrossCheckMatch
-	eng.Parallel = s.opt.ParallelMatch
 	eng.Apply = s.applyEffect
 	eng.Host = s
 	s.phase = ph.name

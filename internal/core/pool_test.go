@@ -184,10 +184,8 @@ func TestRecycledEnginesAcrossMatcherModes(t *testing.T) {
 	}{
 		{"trace", core.Options{}},
 		{"exhaustive", core.Options{ExhaustiveMatch: true}},
-		{"lite", core.Options{LiteMatch: true}},
 		{"crosscheck", core.Options{CrossCheckMatch: true}},
 		{"journal", core.Options{Journal: true}},
-		{"parallel", core.Options{ParallelMatch: 3}},
 		{"journal", core.Options{Journal: true}},
 	}
 	for _, name := range []string{"gcd", "traffic", "am2901"} {

@@ -26,15 +26,15 @@ func (in Input) ContentHash() [sha256.Size]byte {
 
 // Key canonicalizes the options that determine a compilation's result into
 // a stable string: equal option sets always produce equal keys, and
-// distinct option sets (different allocator, scheduler, ablations, matcher
-// mode, scheduler limits, cost model, fold slack, or emit/cosim stage
-// selection) never share one. Key is built from the canonical knob
-// encoding (Options.Knobs), so defaults are normalized — the zero Options
-// and an explicit {Allocator: "daa"} key identically — and result caches
-// keyed by (Input.ContentHash, Options.Key) hit across equivalent
-// spellings. Knobs still at their default (scheduler, fold-slack) write no
-// fragment, so keys for pre-existing option sets are byte-identical to
-// what earlier releases produced (the golden key tests pin this).
+// distinct option sets (different allocator, scheduler, ablations,
+// scheduler limits, cost model, fold slack, or emit/cosim stage selection)
+// never share one. Key is built from the canonical knob encoding
+// (Options.Knobs), so defaults are normalized — the zero Options and an
+// explicit {Allocator: "daa"} key identically — and result caches keyed by
+// (Input.ContentHash, Options.Key) hit across equivalent spellings. Knobs
+// still at their default (scheduler, fold-slack) write no fragment, so
+// adding a knob leaves the keys of existing option sets byte-identical
+// (the golden key tests pin this).
 //
 // The limits fragments are written from the raw Core/Alloc fields rather
 // than the knob view: the knob space sets both in lockstep, but hand-built
@@ -42,14 +42,14 @@ func (in Input) ContentHash() [sha256.Size]byte {
 //
 // Key covers only declarative options. Live state that cannot be
 // canonicalized — a firing-trace writer, extra rules — is flagged by
-// Cacheable; NoCache and Core.ParallelMatch are compilation-path toggles
-// that never change the result and are excluded.
+// Cacheable; NoCache and the matcher selectors Core.ExhaustiveMatch and
+// Core.CrossCheckMatch are compilation-path toggles that never change the
+// result and are excluded.
 func (o Options) Key() string {
 	k := o.Knobs()
 	var b strings.Builder
 	fmt.Fprintf(&b, "alloc=%s", k["allocator"])
-	fmt.Fprintf(&b, ";trace-rules=%s;cleanup=%s;exhaustive=%s;lite=%s;crosscheck=%s;journal=%s",
-		k["trace-rules"], k["cleanup"], k["exhaustive"], k["lite"], k["crosscheck"], k["journal"])
+	fmt.Fprintf(&b, ";trace-rules=%s;cleanup=%s;journal=%s", k["trace-rules"], k["cleanup"], k["journal"])
 	if v := k["scheduler"]; v != sched.SchedList {
 		fmt.Fprintf(&b, ";scheduler=%s", v)
 	}

@@ -32,8 +32,6 @@ func TestOptionsKeyDistinct(t *testing.T) {
 		"naive":            {Allocator: flow.AllocNaive},
 		"no-cleanup":       {Core: core.Options{DisableCleanup: true}},
 		"no-trace-rules":   {Core: core.Options{DisableTraceRules: true}},
-		"exhaustive":       {Core: core.Options{ExhaustiveMatch: true}},
-		"crosscheck":       {Core: core.Options{CrossCheckMatch: true}},
 		"mem-ports":        {Core: core.Options{Limits: sched.Limits{MemPorts: 2}}},
 		"max-ops":          {Core: core.Options{Limits: sched.Limits{MaxOpsPerStep: 3}}},
 		"units-capped":     {Core: core.Options{Limits: sched.Limits{UnitsPerKind: map[vt.OpKind]int{vt.OpAdd: 2}}}},
@@ -64,14 +62,21 @@ func TestOptionsKeyDistinct(t *testing.T) {
 
 // TestOptionsKeyNormalizesDefaults checks that equivalent spellings of the
 // default configuration key identically, so caches hit across them, and
-// that the result-neutral NoCache toggle is excluded from the key.
+// that the result-neutral compilation-path toggles (NoCache and the
+// matcher selectors) are excluded from the key.
 func TestOptionsKeyNormalizesDefaults(t *testing.T) {
 	base := flow.Options{}
 	if got := (flow.Options{Allocator: flow.AllocDAA}).Key(); got != base.Key() {
 		t.Errorf("explicit daa allocator keys differently:\n  %q\n  %q", got, base.Key())
 	}
-	if got := (flow.Options{NoCache: true}).Key(); got != base.Key() {
-		t.Errorf("NoCache leaked into the key:\n  %q\n  %q", got, base.Key())
+	for name, o := range map[string]flow.Options{
+		"NoCache":         {NoCache: true},
+		"ExhaustiveMatch": {Core: core.Options{ExhaustiveMatch: true}},
+		"CrossCheckMatch": {Core: core.Options{CrossCheckMatch: true}},
+	} {
+		if got := o.Key(); got != base.Key() {
+			t.Errorf("%s leaked into the key:\n  %q\n  %q", name, got, base.Key())
+		}
 	}
 	// MemPorts 0 and 1 both mean single-ported in sched.
 	a := flow.Options{Core: core.Options{Limits: sched.Limits{MemPorts: 1}}}

@@ -3,16 +3,17 @@ package flow
 // The knob space is the unified, enumerable view of every synthesis option
 // that shapes a compilation result: allocator and scheduler selection,
 // resource limits, cost-model weights, the ALU-fold threshold, the
-// trace/cleanup ablations, matcher modes, and the emit/cosim stages. Each
+// trace/cleanup ablations, journaling, and the emit/cosim stages. Each
 // knob has a wire name, a typed domain, a canonical default, and string
 // get/set accessors over Options, so the whole space round-trips through
 // plain map[string]string — the form /v1/explore grids, daa -explore specs,
 // and Options.Key all build on.
 //
-// Compilation-path toggles that never change the result (NoCache,
-// Core.ParallelMatch) and live state a string cannot carry (Core.Trace,
-// Core.ExtraRules) are deliberately outside the knob space, exactly as
-// they are outside Options.Key.
+// Compilation-path toggles that never change the result (NoCache, and the
+// matcher selectors Core.ExhaustiveMatch and Core.CrossCheckMatch) and
+// live state a string cannot carry (Core.Trace, Core.ExtraRules) are
+// deliberately outside the knob space, exactly as they are outside
+// Options.Key.
 
 import (
 	"fmt"
@@ -364,15 +365,6 @@ func buildKnobRegistry() []Knob {
 		boolKnob("cleanup", "run the final global-improvement phase", true,
 			func(o *Options) bool { return !o.Core.DisableCleanup },
 			func(o *Options, v bool) { o.Core.DisableCleanup = !v }),
-		boolKnob("exhaustive", "re-match the full conflict set every engine cycle (debug baseline)", false,
-			func(o *Options) bool { return o.Core.ExhaustiveMatch },
-			func(o *Options, v bool) { o.Core.ExhaustiveMatch = v }),
-		boolKnob("lite", "use the interpreted Rete-lite matcher (benchmark baseline)", false,
-			func(o *Options) bool { return o.Core.LiteMatch },
-			func(o *Options, v bool) { o.Core.LiteMatch = v }),
-		boolKnob("crosscheck", "run all three matchers in lockstep, halting on divergence", false,
-			func(o *Options) bool { return o.Core.CrossCheckMatch },
-			func(o *Options, v bool) { o.Core.CrossCheckMatch = v }),
 		boolKnob("journal", "record rule-firing effects and build the provenance index", false,
 			func(o *Options) bool { return o.Core.Journal },
 			func(o *Options, v bool) { o.Core.Journal = v }),

@@ -147,20 +147,17 @@ func liveOnly(els []*Element) []*Element {
 }
 
 // Property: after arbitrary interleavings of make/modify/remove, applied
-// in batches like rule actions produce them, both incrementally maintained
-// conflict sets — the Rete network's stored tokens and the Rete-lite
-// persistent set — equal an exhaustive recompute over the same WM.
+// in batches like rule actions produce them, the incrementally maintained
+// conflict set — the Rete network's stored tokens — equals an exhaustive
+// recompute over the same WM.
 func TestIncrementalConflictSetEqualsRecompute(t *testing.T) {
 	rules := testRules()
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		wm := NewWM()
 		eng := NewEngine(wm)
-		lite := NewEngine(wm)
-		lite.Lite = true
 		for _, r := range rules {
 			eng.AddRule(r)
-			lite.AddRule(r)
 		}
 		var live []*Element
 		for round := 0; round < 25; round++ {
@@ -168,12 +165,8 @@ func TestIncrementalConflictSetEqualsRecompute(t *testing.T) {
 				applyRandomOp(rng, wm, &live)
 			}
 			eng.applyChanges()
-			lite.applyChanges()
-			want := groundTruth(wm, rules)
 			diffStrings(t, fmt.Sprintf("rete seed %d round %d", seed, round),
-				eng.instantiations(), want)
-			diffStrings(t, fmt.Sprintf("lite seed %d round %d", seed, round),
-				lite.instantiations(), want)
+				eng.instantiations(), groundTruth(wm, rules))
 			if t.Failed() {
 				return
 			}
@@ -214,11 +207,8 @@ func FuzzIncrementalConflictSet(f *testing.F) {
 		rules := testRules()
 		wm := NewWM()
 		eng := NewEngine(wm)
-		lite := NewEngine(wm)
-		lite.Lite = true
 		for _, r := range rules {
 			eng.AddRule(r)
-			lite.AddRule(r)
 		}
 		var live []*Element
 		for i := 0; i < len(data); i++ {
@@ -244,13 +234,9 @@ func FuzzIncrementalConflictSet(f *testing.F) {
 			}
 			if b%8 == 5 || i == len(data)-1 { // batch boundary
 				eng.applyChanges()
-				lite.applyChanges()
 				want := groundTruth(wm, rules)
 				if got := eng.instantiations(); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("rete conflict set diverged at byte %d\n  rete: %v\n  from-scratch: %v", i, got, want)
-				}
-				if got := lite.instantiations(); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("lite conflict set diverged at byte %d\n  lite: %v\n  from-scratch: %v", i, got, want)
 				}
 			}
 		}

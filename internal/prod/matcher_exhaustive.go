@@ -1,0 +1,133 @@
+package prod
+
+// The exhaustive matcher, the engine's only interpreted one: every cycle
+// it re-enumerates every rule's instantiations from scratch by join
+// enumeration over Pattern.tests. It is the original strategy, kept as the
+// Engine.Exhaustive debug mode and as the ground truth CrossCheck holds the
+// Rete network to.
+
+// selectExhaustive picks the next firing by a full enumeration of every
+// rule. Under CrossCheck it runs with count=false, so the reference run
+// does not perturb the match-call statistics.
+func (e *Engine) selectExhaustive(count bool) *Match {
+	var best *Match
+	var bestRank recencyRank
+	for _, r := range e.rules {
+		e.enumerate(r, -1, nil, nil, count, func(m *Match) {
+			if r.Where != nil && !r.Where(m) {
+				return
+			}
+			if e.fired[refractionKey(m)] {
+				return
+			}
+			var rk recencyRank
+			rk.init(m)
+			if best == nil || betterRank(m, &rk, best, &bestRank) {
+				best = m
+				bestRank = rk
+			}
+		})
+	}
+	return best
+}
+
+// enumerate yields instantiations of r's patterns under the current
+// working memory, in deterministic candidate order. Where is *not* applied
+// here: it is a per-cycle test, evaluated at selection time. Candidate
+// elements per pattern come from the narrowest applicable index: an Eq
+// test, or a Bind test whose variable is already bound, hashes directly to
+// the matching elements.
+//
+// With pinPat < 0 every instantiation is yielded (a full enumeration).
+// Otherwise pattern pinPat is pinned to the single element pin, and
+// positive patterns *before* pinPat skip every element in touched: a
+// delta enumeration calls this once per (touched element, matching
+// pattern) pair, and the exclusion attributes each new instantiation to
+// its first touched position so none is yielded twice. Negated patterns
+// always test the full working memory.
+func (e *Engine) enumerate(r *Rule, pinPat int, pin *Element, touched []*Element, count bool, yield func(*Match)) {
+	var env bindings
+	els := make([]*Element, 0, len(r.Patterns))
+	pinned := [1]*Element{pin}
+	tested := 0
+	var rec func(pi int)
+	rec = func(pi int) {
+		if pi == len(r.Patterns) {
+			yield(&Match{Rule: r, Elements: append([]*Element(nil), els...), binds: env.snapshot()})
+			return
+		}
+		p := r.Patterns[pi]
+		var candidates []*Element
+		if pi == pinPat {
+			candidates = pinned[:]
+		} else {
+			candidates = e.candidates(p, &env)
+		}
+		if p.Negated {
+			for _, el := range candidates {
+				tested++
+				if mark, ok := p.match(el, &env); ok {
+					env.undo(mark)
+					return // negation fails
+				}
+			}
+			rec(pi + 1)
+			return
+		}
+		excludeTouched := pinPat >= 0 && pi < pinPat
+		for _, el := range candidates {
+			if excludeTouched && containsElement(touched, el) {
+				continue
+			}
+			tested++
+			if mark, ok := p.match(el, &env); ok {
+				els = append(els, el)
+				rec(pi + 1)
+				els = els[:len(els)-1]
+				env.undo(mark)
+			}
+		}
+	}
+	rec(0)
+	if count {
+		e.matchCalls += tested
+		e.met.rules[r.index].matchCalls += tested
+	}
+}
+
+func containsElement(set []*Element, el *Element) bool {
+	for _, x := range set {
+		if x == el {
+			return true
+		}
+	}
+	return false
+}
+
+// candidates returns the narrowest element set the working-memory indexes
+// offer for a pattern under the current bindings.
+func (e *Engine) candidates(p Pattern, b *bindings) []*Element {
+	best := e.WM.byClass[p.Class]
+	for _, t := range p.tests {
+		if len(best) <= 2 {
+			break // already narrow; further hashing costs more than it saves
+		}
+		var key any
+		switch t.kind {
+		case testEq:
+			key = t.val
+		case testBind:
+			v, bound := b.get(t.vari)
+			if !bound {
+				continue
+			}
+			key = v
+		default:
+			continue
+		}
+		if set := e.WM.lookup(p.Class, t.attr, key); len(set) < len(best) {
+			best = set
+		}
+	}
+	return best
+}

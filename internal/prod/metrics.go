@@ -15,7 +15,7 @@ type engineMetrics struct {
 	added       int
 	invalidated int
 
-	// Rete network activity (zero when only the interpreted matchers ran).
+	// Rete network activity (zero when only the exhaustive matcher ran).
 	alphaEvals    int
 	joinTests     int
 	tokenAsserts  int
@@ -74,8 +74,8 @@ type RuleMetrics struct {
 	Name        string
 	Category    string
 	Firings     int           // times the rule fired
-	Rebuilds    int           // full re-enumerations of its instantiations
-	Deltas      int           // incremental updates seeded on changed elements
+	Rebuilds    int           // from-scratch activations of its beta chain
+	Deltas      int           // incremental updates from batches that touched it
 	MatchCalls  int           // pattern tests executed on its behalf
 	MatchTime   time.Duration // wall time spent matching it (apportioned; see Metrics)
 	Added       int           // instantiations that entered the conflict set
@@ -87,18 +87,18 @@ type RuleMetrics struct {
 // observability layer: where the recognize-act loop spends its time, how
 // much churn the conflict set sees, and how large it runs.
 //
-// MatchTime is measured; its per-rule split is partly apportioned. Serial
-// Rete propagation reads the clock twice per batch and divides the span
-// over the rules the batch touched by their work (join tests, token
-// asserts and retracts, plus one), so RuleMetrics.MatchTime is an estimate
-// there while the total stays exact. Parallel propagation, seeding and the
-// interpreted matchers time each rule directly.
+// MatchTime is measured; its per-rule split is partly apportioned. Rete
+// propagation reads the clock twice per batch and divides the span over
+// the rules the batch touched by their work (join tests, token asserts
+// and retracts, plus one), so RuleMetrics.MatchTime is an estimate there
+// while the total stays exact. Seeding times each rule directly; the
+// exhaustive matcher records no match time.
 type Metrics struct {
 	Cycles      int
 	Firings     int
 	MatchCalls  int           // total pattern tests executed
 	MatchTime   time.Duration // wall time spent matching, summed over rules
-	Rebuilds    int           // full rule re-enumerations performed
+	Rebuilds    int           // from-scratch rule activations performed
 	Deltas      int           // incremental conflict-set updates performed
 	Added       int           // instantiations that entered the conflict set
 	Invalidated int           // instantiations that left it
@@ -132,8 +132,8 @@ type Metrics struct {
 }
 
 // Metrics returns a snapshot of the engine's observability counters.
-// Conflict-set statistics are only populated by the incremental matcher
-// (the default); match calls and timings cover whichever matcher ran.
+// Conflict-set statistics are only populated by the Rete network; match
+// calls cover whichever matcher ran.
 func (e *Engine) Metrics() Metrics {
 	m := Metrics{
 		Cycles:       e.cycles,

@@ -116,9 +116,8 @@ func (p Pattern) specificity() int { return p.n + 1 } // +1 for the class test
 // match checks the pattern against an element under the mutable binding
 // environment. On success any new variables remain bound; the caller
 // restores the environment to the returned mark when backtracking. It is
-// the interpreted test path used by the exhaustive and Rete-lite matchers;
-// the full Rete network compiles the same tests to closures instead
-// (compile.go).
+// the interpreted test path used by the exhaustive matcher; the Rete
+// network compiles the same tests to closures instead (compile.go).
 func (p Pattern) match(e *Element, b *bindings) (mark int, ok bool) {
 	mark = b.mark()
 	if e.Class != p.Class {
@@ -171,7 +170,7 @@ func (p Pattern) match(e *Element, b *bindings) (mark int, ok bool) {
 }
 
 // bindings is a mutable variable environment with trail-based undo: binds
-// push, backtracking truncates. This keeps the interpreted matchers
+// push, backtracking truncates. This keeps the interpreted matcher
 // allocation-free on failed candidates, which dominate the join work.
 type bindings struct {
 	names []string
@@ -216,7 +215,7 @@ type Match struct {
 
 	// tok back-links a Rete-produced match to its production-node token so
 	// retraction can remove it from the conflict set in O(1). Nil for
-	// matches produced by the interpreted matchers.
+	// matches produced by the exhaustive matcher.
 	tok *token
 	// onAgenda marks a Rete match currently scheduled on its rule's agenda
 	// (agenda.go).

@@ -70,9 +70,7 @@ func (e *Engine) scrub() {
 	e.Interrupt = nil
 	e.TraceWriter = nil
 	e.Exhaustive = false
-	e.Lite = false
 	e.CrossCheck = false
-	e.Parallel = 0
 	e.Apply = nil
 	e.Host = nil
 
@@ -88,7 +86,6 @@ func (e *Engine) scrub() {
 	e.met = engineMetrics{rules: e.met.rules, series: e.met.series[:0]}
 
 	e.rete.scrub()
-	e.lite.scrub()
 }
 
 // scrub empties the network's memories and every rule's token state.
@@ -130,16 +127,6 @@ func (rr *reteRule) scrub() {
 	rr.stale = scrubSlice(rr.stale)
 	rr.scratch = scrubSlice(rr.scratch)
 	rr.stats = reteBatchStats{}
-}
-
-// scrub drops the Rete-lite conflict sets and marks every rule for a full
-// first match, as on a fresh engine.
-func (ls *liteState) scrub() {
-	for i := range ls.cs {
-		ls.cs[i] = nil
-		ls.touched[i] = nil
-		ls.needFull[i] = true
-	}
 }
 
 // scrubSlice zeroes s, including the stale slots past its length, and

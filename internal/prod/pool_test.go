@@ -99,7 +99,7 @@ func TestPoolGetRestoresDefaults(t *testing.T) {
 	eng.MaxFirings = 7
 	eng.Interrupt = func() error { return nil }
 	eng.TraceWriter = &bytes.Buffer{}
-	eng.Exhaustive, eng.Lite, eng.CrossCheck, eng.Parallel = true, true, true, 4
+	eng.Exhaustive, eng.CrossCheck = true, true
 	eng.Apply = func(string, []any) (any, error) { return nil, nil }
 	eng.Host = &poolHost{}
 	eng.scrub()
@@ -130,11 +130,10 @@ func TestPoolGetRestoresDefaults(t *testing.T) {
 // run: no element, binding, match, host, journal or working memory, in any
 // slot of any buffer, past its length included.
 func TestPoolScrubDropsRunState(t *testing.T) {
-	for _, mode := range []string{"rete", "lite", "crosscheck"} {
+	for _, mode := range []string{"rete", "crosscheck"} {
 		p := NewPool(poolRules)
 		wm := NewWM()
 		eng := p.Get(wm)
-		eng.Lite = mode == "lite"
 		eng.CrossCheck = mode == "crosscheck"
 		eng.Apply = func(string, []any) (any, error) { return nil, nil }
 		eng.RecordJournal(nil)
@@ -211,11 +210,6 @@ func TestPoolScrubDropsRunState(t *testing.T) {
 						t.Errorf("%s: rule %s keeps a match", mode, rr.r.Name)
 					}
 				}
-			}
-		}
-		for i := range eng.lite.cs {
-			if eng.lite.cs[i] != nil || eng.lite.touched[i] != nil || !eng.lite.needFull[i] {
-				t.Errorf("%s: Rete-lite state of rule %d survives", mode, i)
 			}
 		}
 	}

@@ -1,27 +1,20 @@
 package prod
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// rete is the engine's full discrimination network (the default matcher).
-// The alpha layer classifies each WM change once across all rules; the
-// beta layer stores partial-match tokens so only the join work downstream
-// of an affected memory reruns. Batches are applied in two phases:
+// rete is the engine's full discrimination network (its matcher). The
+// alpha layer classifies each WM change once across all rules; the beta
+// layer stores partial-match tokens so only the join work downstream of
+// an affected memory reruns. Batches are applied in two phases:
 //
-//  1. alpha phase (serial): each pending Change is classified against the
-//     shared memories, producing an ordered event list (assert / retract /
+//  1. alpha phase: each pending Change is classified against the shared
+//     memories, producing an ordered event list (assert / retract /
 //     touch) with per-event sequence numbers and versioned membership.
-//  2. beta phase (serial or sharded by rule across workers): every rule
-//     replays the event list against its private token state. Rules share
-//     nothing but the read-only memories and elements, so per-rule
-//     propagation is order-independent across rules — the parallel mode
-//     is deterministic by construction and needs no merge step beyond
-//     waiting for the workers.
+//  2. beta phase: every rule replays the event list against its private
+//     token state. Rules share nothing but the read-only memories and
+//     elements, so per-rule propagation is order-independent across rules.
 //
-// Conflict resolution then reads the per-rule conflict sets in rule
-// order, which is identical either way.
+// Conflict resolution then reads the per-rule agendas (agenda.go).
 
 type rete struct {
 	alpha *alphaNet
@@ -52,9 +45,7 @@ type alphaEvent struct {
 	attrs []string // evTouch: the changed attributes
 }
 
-// reteRule is one rule's beta chain plus its batch-local counters. All
-// fields below stats are owned by the worker processing the rule during
-// the beta phase.
+// reteRule is one rule's beta chain plus its batch-local counters.
 type reteRule struct {
 	idx   int
 	r     *Rule
@@ -296,24 +287,20 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 		}
 	}
 
-	// Phase 2: replay the event list per rule. The serial path reads the
-	// clock twice per batch and apportions the span over the touched rules
-	// by their work (apportion): per-rule figures are estimates, the total
-	// is exact. Clock reads cost enough to show in profiles, and a batch
-	// touches a dozen rules or more.
+	// Phase 2: replay the event list per rule. The clock is read twice per
+	// batch and the span apportioned over the touched rules by their work
+	// (apportion): per-rule figures are estimates, the total is exact.
+	// Clock reads cost enough to show in profiles, and a batch touches a
+	// dozen rules or more.
 	if len(rt.events) > 0 {
-		if e.Parallel > 1 {
-			rt.processParallel(e.Parallel)
-		} else {
-			t0 := time.Now()
-			var work int64
-			for _, rr := range rt.rules {
-				if rr.processEvents(rt.events) {
-					work += rr.stats.work()
-				}
+		t0 := time.Now()
+		var work int64
+		for _, rr := range rt.rules {
+			if rr.processEvents(rt.events) {
+				work += rr.stats.work()
 			}
-			rt.apportion(time.Since(t0), work)
 		}
+		rt.apportion(time.Since(t0), work)
 	}
 
 	// Fold counters and compact memories.
@@ -327,7 +314,7 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 	}
 }
 
-// apportion splits a serial batch's elapsed time over the touched rules
+// apportion splits a batch's elapsed time over the touched rules
 // in proportion to their work (total is the sum of their weights). Each
 // rule is charged the difference of the cumulative shares, so the charges
 // sum to elapsed exactly despite integer rounding.
@@ -376,9 +363,8 @@ func attrsTouch(set map[string]bool, attrs []string) bool {
 
 // processEvents replays a batch's event list against one rule's chain and
 // reports whether the rule was touched. Timing is the caller's job: clock
-// reads are expensive enough to show in profiles, so the serial path
-// times the whole batch and apportions it (rete.apply) instead of
-// bracketing every call here.
+// reads are expensive enough to show in profiles, so rete.apply times the
+// whole batch and apportions it instead of bracketing every call here.
 func (rr *reteRule) processEvents(evs []alphaEvent) bool {
 	relevant := false
 	for i := range evs {
@@ -408,42 +394,6 @@ func (rr *reteRule) processEvents(evs []alphaEvent) bool {
 		}
 	}
 	return true
-}
-
-// processParallel shards the beta phase across workers, striped by rule.
-// Each rule's state is private and the shared inputs (event list,
-// memories, elements) are read-only during the phase, so the result is
-// identical to the serial replay. Panics (rule predicates can run user
-// code) are re-raised on the caller after all workers stop.
-func (rt *rete) processParallel(workers int) {
-	if workers > len(rt.rules) {
-		workers = len(rt.rules)
-	}
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			for i := w; i < len(rt.rules); i += workers {
-				rr := rt.rules[i]
-				t0 := time.Now()
-				if rr.processEvents(rt.events) {
-					rr.stats.elapsed += time.Since(t0)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
 }
 
 // foldRule moves a rule's batch counters into the engine metrics.

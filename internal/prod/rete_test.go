@@ -1,9 +1,6 @@
 package prod
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // The alpha layer must share constant tests and memories across rules:
 // three rules over the same class/test set compile to one memory, and a
@@ -63,55 +60,6 @@ func TestAlphaEvalDedup(t *testing.T) {
 	}
 }
 
-// Parallel beta propagation must produce a byte-identical firing trace to
-// serial mode on a workload wide enough to keep several workers busy.
-func parallelWorkload(parallel int) string {
-	wm := NewWM()
-	for i := 0; i < 40; i++ {
-		wm.Make("item", Attrs{"g": i % 5, "n": i})
-	}
-	eng := NewEngine(wm)
-	eng.Parallel = parallel
-	var sb strings.Builder
-	eng.TraceWriter = &sb
-	nopLess := func(e *Tx, m *Match) {
-		e.WM().Modify(m.El(0), Attrs{"seen": true})
-	}
-	// A spread of rule shapes so the rule-striped workers see uneven work.
-	eng.AddRule(&Rule{Name: "scan", Patterns: []Pattern{
-		P("item").Absent("seen").Bind("g", "g"),
-	}, Action: nopLess})
-	eng.AddRule(&Rule{Name: "pair", Patterns: []Pattern{
-		P("item").Eq("seen", true).Bind("g", "g"),
-		P("item").Absent("seen").Bind("g", "g"),
-	}, Action: func(e *Tx, m *Match) {
-		e.WM().Modify(m.El(1), Attrs{"seen": true, "paired": true})
-	}})
-	eng.AddRule(&Rule{Name: "close", Patterns: []Pattern{
-		P("item").Eq("paired", true).Bind("g", "g"),
-		N("gate").Bind("g", "g"),
-	}, Action: func(e *Tx, m *Match) {
-		e.WM().Make("gate", Attrs{"g": m.Get("g")})
-	}})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
-	return sb.String()
-}
-
-func TestParallelMatchDeterministic(t *testing.T) {
-	serial := parallelWorkload(0)
-	if serial == "" {
-		t.Fatal("workload produced no firings")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		if got := parallelWorkload(workers); got != serial {
-			t.Errorf("parallel=%d trace differs from serial:\nserial:\n%s\nparallel:\n%s",
-				workers, serial, got)
-		}
-	}
-}
-
 // Conflict-set selection is the per-cycle hot path: scanning it must not
 // allocate. (Trace rendering and divergence panics — matchIDs,
 // describeMatch — are the only string-building paths left, and they are
@@ -153,35 +101,6 @@ func seededSelectionEngine() *Engine {
 	}
 	eng.applyChanges()
 	return eng
-}
-
-// The Rete matcher must do strictly less match work than Rete-lite on an
-// incremental workload: the lite matcher re-enumerates whole rules per
-// touched element, the network reruns only the affected joins.
-func TestReteWorkBelowLite(t *testing.T) {
-	workload := func(mode func(*Engine)) int {
-		wm := NewWM()
-		for i := 0; i < 60; i++ {
-			wm.Make("item", Attrs{"g": i % 6, "n": i})
-		}
-		eng := NewEngine(wm)
-		mode(eng)
-		eng.AddRule(&Rule{Name: "chain", Patterns: []Pattern{
-			P("item").Absent("done").Bind("g", "g"),
-			P("item").Bind("g", "g").Present("n"),
-		}, Action: func(e *Tx, m *Match) {
-			e.WM().Modify(m.El(0), Attrs{"done": true})
-		}})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return eng.MatchCount()
-	}
-	rete := workload(func(e *Engine) {})
-	lite := workload(func(e *Engine) { e.Lite = true })
-	if rete >= lite {
-		t.Errorf("rete match work (%d) not below rete-lite (%d)", rete, lite)
-	}
 }
 
 // Mode flips mid-run must resynchronize matcher state instead of reading

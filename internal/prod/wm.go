@@ -19,25 +19,22 @@
 // working memory emits a change notification for every Make, Modify, and
 // Remove; between firings the network propagates only those deltas, so
 // match work is proportional to change, not to working-memory size.
-// Engine.Parallel shards beta propagation across workers (rule-striped,
-// deterministic by construction). Each rule also keeps an agenda
+// Each rule also keeps an agenda
 // (agenda.go): its unfired instantiations in conflict-resolution order,
 // with refraction checked once when an instantiation is scheduled, so
 // selecting the next firing reads the agenda tops instead of rescanning
 // the conflict set. The network keeps its own alpha memories; the working
 // memory's (class, attribute, value) index serves only the interpreted
-// matchers below and is built on their first probe.
+// matcher below and is built on its first probe.
 //
-// Two interpreted matchers are kept alongside it: Engine.Lite selects the
-// Rete-lite matcher (matcher_lite.go), which re-enumerates whole rules on
-// a (class, attribute) subscription index, and Engine.Exhaustive recomputes
-// the conflict set from scratch each cycle. Both select by scanning their
-// whole conflict set every cycle, the reference the Rete agenda is
-// checked against. Conflict-resolution semantics
-// — refraction, recency, specificity, declaration order — are bit-for-bit
-// identical across all three, and Engine.CrossCheck runs them in lockstep,
-// diffing the selected instantiation every cycle. See Engine.Metrics for
-// the per-rule match-cost and network observability this enables.
+// One interpreted matcher is kept alongside it: Engine.Exhaustive
+// recomputes the conflict set from scratch each cycle
+// (matcher_exhaustive.go), the reference the Rete agenda is checked
+// against. Conflict-resolution semantics — refraction, recency,
+// specificity, declaration order — are bit-for-bit identical across the
+// two, and Engine.CrossCheck runs them in lockstep, diffing the selected
+// instantiation every cycle. See Engine.Metrics for the per-rule
+// match-cost and network observability this enables.
 package prod
 
 import (
@@ -170,10 +167,10 @@ type Change struct {
 }
 
 // WM is a working memory: the set of live elements, indexed by class.
-// The interpreted matchers (Rete-lite and exhaustive) also probe a
-// (class, attribute, value) index; the Rete network keeps its own alpha
-// memories and never reads it, so that index is built on the first lookup
-// and maintained only from then on — a Rete-only run never pays for it.
+// The exhaustive matcher also probes a (class, attribute, value) index;
+// the Rete network keeps its own alpha memories and never reads it, so
+// that index is built on the first lookup and maintained only from then
+// on — a Rete-only run never pays for it.
 // Attribute values must be comparable Go values (ints, strings, bools,
 // pointers); storing a non-comparable value (slice, map, function) panics
 // with the class and attribute named.

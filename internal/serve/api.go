@@ -136,6 +136,13 @@ func (a ArtifactRequest) key() string {
 // each batch item. Without Timings in the request, every field is a pure
 // function of (source, options): responses are byte-deterministic and
 // byte-identical to a local `daa` run's report section.
+//
+// With Timings, Stats and Stages describe the run that produced the body.
+// A cached timings body therefore carries the stage times and the engine
+// statistics of whichever run filled the entry: the matcher selector
+// (options.exhaustive) is outside the cache key, since it cannot change
+// the design, so an exhaustive request may be answered with a Rete run's
+// match counts, and the other way round.
 type SynthesizeResponse struct {
 	Name      string         `json:"name"`
 	Allocator string         `json:"allocator"`

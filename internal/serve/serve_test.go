@@ -145,6 +145,39 @@ func TestSynthesizeHappyPathDeterministic(t *testing.T) {
 	}
 }
 
+// TestMatcherSelectorSharesDesignCache pins that the matcher selector is
+// outside the cache identity: it cannot change the design, so an
+// exhaustive request after a default one for the same source is a
+// design-cache hit with the same bytes and routes to the same shard.
+func TestMatcherSelectorSharesDesignCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := benchRequest(t, "gcd")
+	resp1, body1 := postJSON(t, ts.URL+"/v1/synthesize", req)
+	if resp1.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp1.StatusCode, body1)
+	}
+	exh := req
+	exh.Options.Exhaustive = true
+	resp2, body2 := postJSON(t, ts.URL+"/v1/synthesize", exh)
+	if got := resp2.Header.Get("X-DAAD-Cache"); got != "hit" {
+		t.Errorf("exhaustive request after a default one: cache header %q, want hit", got)
+	}
+	if !bytes.Equal(body1, body2) {
+		t.Error("exhaustive cache hit body differs from the default miss")
+	}
+	k1, err := req.ShardKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, err := exh.ShardKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1 != k2 {
+		t.Errorf("exhaustive request shards apart:\n  %q\n  %q", k2, k1)
+	}
+}
+
 func TestSynthesizeArtifactsAndTimings(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := benchRequest(t, "counter")

@@ -51,11 +51,6 @@ type Config struct {
 	// (default DefaultMaxGridPoints); past it the request answers 413.
 	// Negative disables /v1/explore entirely (every grid is too large).
 	MaxGridPoints int
-	// ParallelMatch shards the production engine's Rete beta propagation
-	// across this many workers for every synthesis (0 = serial). A server
-	// setting rather than a request option: it never changes results, only
-	// the compilation path, so it is excluded from cache keys.
-	ParallelMatch int
 	// Logger receives one line per request, tagged with the request ID.
 	// Nil discards logs (tests).
 	Logger *log.Logger
@@ -563,7 +558,6 @@ func (s *Server) runOne(ctx context.Context, req SynthesizeRequest, admit bool) 
 			Error: err.Error(), Kind: KindRequest, RequestID: id,
 		}}
 	}
-	opt.Core.ParallelMatch = s.cfg.ParallelMatch
 	// Verilog is an emit-stage product now: selecting the artifact selects
 	// the stage, before the cache key is computed (opt.Key covers it).
 	opt.EmitVerilog = req.Artifacts.Verilog
