@@ -251,6 +251,9 @@ var coldStreamSalt int
 // cosim, the daemon's cache-miss path. No source is read twice, so the
 // front-end artifact cache only ever holds them in probation; the GC
 // share of a CPU profile (-cpuprofile) shows what they would cost live.
+// engine-builds/op counts the DAA phase engines built because their
+// pool had none idle (core.EngineBuilds): a fully recycled op reads 0,
+// and each op runs 63 phase engines (nine designs, seven phases).
 func BenchmarkFlowCompileColdStream(b *testing.B) {
 	names := bench.Names()
 	ins := make([]flow.Input, len(names))
@@ -265,6 +268,8 @@ func BenchmarkFlowCompileColdStream(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
+	builds := core.EngineBuilds()
+	defer func() { b.ReportMetric(float64(core.EngineBuilds()-builds)/float64(b.N), "engine-builds/op") }()
 	for i := 0; i < b.N; i++ {
 		for _, in := range ins {
 			coldStreamSalt++

@@ -283,6 +283,16 @@ func KnowledgeBase() map[string][]*prod.Rule {
 	return kb
 }
 
+// EngineBuilds reports how many phase engines the process has built
+// because its phase's pool had no idle one (prod.Pool.Builds, summed).
+func EngineBuilds() int64 {
+	var n int64
+	for _, ph := range phases {
+		n += ph.pool.Builds()
+	}
+	return n
+}
+
 // PhaseOrder lists the phases in execution order.
 var PhaseOrder = func() []string {
 	names := make([]string, len(phases))

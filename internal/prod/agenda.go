@@ -21,8 +21,7 @@ package prod
 // element's recency changes the key, which is how rerank re-enables a
 // fired instantiation, as in OPS5.
 //
-// Agendas are per rule, like the rest of the beta state, so the parallel
-// match mode still partitions all mutable state by rule.
+// Agendas are per rule, like the rest of the beta state.
 
 // outranks reports whether a beats b under conflict resolution.
 func outranks(a, b *Match) bool {
@@ -112,8 +111,10 @@ func (rr *reteRule) rerank(bumps []bump) {
 			if n.neg {
 				continue
 			}
-			for _, t := range n.elIndex()[b.el] {
-				rr.stale = collectMatches(rr.stale, t)
+			for t := rr.elTokens(b.el.ID); t != 0; t = rr.toks[t].elk.next {
+				if rr.toks[t].level == n.level {
+					rr.stale = rr.collectMatches(rr.stale, t)
+				}
 			}
 		}
 	}
@@ -145,12 +146,12 @@ func (rr *reteRule) removeStale(m *Match) {
 }
 
 // collectMatches appends the conflict-set entries derived from t.
-func collectMatches(out []*Match, t *token) []*Match {
-	if t.match != nil {
-		out = append(out, t.match)
+func (rr *reteRule) collectMatches(out []*Match, t int32) []*Match {
+	if m := rr.toks[t].match; m != 0 {
+		out = append(out, rr.ms[m])
 	}
-	for _, c := range t.children {
-		out = collectMatches(out, c)
+	for c := rr.toks[t].child; c != 0; c = rr.toks[c].sib.next {
+		out = rr.collectMatches(out, c)
 	}
 	return out
 }

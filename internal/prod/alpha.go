@@ -1,6 +1,7 @@
 package prod
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,38 +40,80 @@ type missingKey struct{}
 
 // memIndex is a hash index over a memory's entries by one attribute's
 // value, maintained for beta nodes whose first join tests equality on that
-// attribute. Buckets hold entry positions; probes still filter by
-// visibility. Keys track the FINAL attribute values of the batch (apply
-// reindexes on every Modify before classifying it), matching the batch
-// semantics that joins read final values and only membership is versioned.
+// attribute. Each bucket is an intrusive list through links, parallel to
+// the entries, so filing allocates nothing once the map holds the key;
+// probes still filter by visibility. Keys track the FINAL attribute
+// values of the batch (apply reindexes on every Modify before classifying
+// it), matching the batch semantics that joins read final values and only
+// membership is versioned.
 type memIndex struct {
-	attr   string
+	attr   attrID
 	keys   []any         // parallel to entries: the key each is filed under
-	bucket map[any][]int // key -> entry positions
+	links  []link        // parallel to entries: place in its bucket, as positions+1
+	bucket map[any]int32 // key -> first entry position+1
+
+	// The last probe and its answer. Consecutive left activations mostly
+	// probe with one key (the tokens of one body, say), and filing never
+	// happens during the beta phase, so most probes skip the map; every
+	// change to the buckets clears it.
+	lastKey  any
+	lastHead int32
+	lastOK   bool
 }
 
-func indexKey(el *Element, attr string) any {
-	if v, ok := el.lookup(attr); ok {
+// head returns the first entry position+1 filed under k, 0 for none.
+func (ix *memIndex) head(k any) int32 {
+	if ix.lastOK && k == ix.lastKey {
+		return ix.lastHead
+	}
+	h := ix.bucket[k]
+	ix.lastKey, ix.lastHead, ix.lastOK = k, h, true
+	return h
+}
+
+// forget clears the probe cache.
+func (ix *memIndex) forget() { ix.lastKey, ix.lastHead, ix.lastOK = nil, 0, false }
+
+func indexKey(el *Element, attr attrID) any {
+	if v, ok := el.lookupID(attr); ok {
 		return v
 	}
 	return missingKey{}
 }
 
+// file appends entry position i, filed under k.
 func (ix *memIndex) file(i int, k any) {
 	ix.keys = append(ix.keys, k)
-	ix.bucket[k] = append(ix.bucket[k], i)
+	ix.links = append(ix.links, link{})
+	ix.push(i, k)
 }
 
-// drop unfiles position i from its bucket.
+// push puts position i at the head of bucket k.
+func (ix *memIndex) push(i int, k any) {
+	ix.forget()
+	head := ix.bucket[k]
+	ix.links[i] = link{next: head}
+	if head != 0 {
+		ix.links[head-1].prev = int32(i + 1)
+	}
+	ix.bucket[k] = int32(i + 1)
+}
+
+// drop unfiles position i from its bucket, dropping the key once the
+// bucket empties.
 func (ix *memIndex) drop(i int) {
-	b := ix.bucket[ix.keys[i]]
-	for j, e := range b {
-		if e == i {
-			last := len(b) - 1
-			b[j] = b[last]
-			ix.bucket[ix.keys[i]] = b[:last]
-			return
-		}
+	ix.forget()
+	l := ix.links[i]
+	switch {
+	case l.prev != 0:
+		ix.links[l.prev-1].next = l.next
+	case l.next != 0:
+		ix.bucket[ix.keys[i]] = l.next
+	default:
+		delete(ix.bucket, ix.keys[i])
+	}
+	if l.next != 0 {
+		ix.links[l.next-1].prev = l.prev
 	}
 }
 
@@ -78,21 +121,23 @@ func (ix *memIndex) drop(i int) {
 func (ix *memIndex) refile(i int, k any) {
 	ix.drop(i)
 	ix.keys[i] = k
-	ix.bucket[k] = append(ix.bucket[k], i)
+	ix.push(i, k)
 }
 
 // renumber records that the entry filed at position from now lives at
-// position to (compaction swap-remove).
+// position to (compaction swap-remove; to has been dropped).
 func (ix *memIndex) renumber(from, to int) {
-	k := ix.keys[from]
-	b := ix.bucket[k]
-	for j, e := range b {
-		if e == from {
-			b[j] = to
-			break
-		}
+	ix.forget()
+	k, l := ix.keys[from], ix.links[from]
+	ix.keys[to], ix.links[to] = k, l
+	if l.prev != 0 {
+		ix.links[l.prev-1].next = int32(to + 1)
+	} else {
+		ix.bucket[k] = int32(to + 1)
 	}
-	ix.keys[to] = k
+	if l.next != 0 {
+		ix.links[l.next-1].prev = int32(to + 1)
+	}
 }
 
 // visible reports membership as of event s.
@@ -116,21 +161,26 @@ type alphaMem struct {
 	id    int
 	class string
 	tests []*alphaTest
+	net   *alphaNet
 
 	entries []memEntry
-	idx     map[*Element]int // element -> live entry index
-	dirty   bool             // has versioned entries needing compaction
-	indexes []*memIndex      // value indexes requested by hashed join nodes
+	// pos is the membership table, indexed by element slot (Element.ID):
+	// pos[id] is the element's live entry position plus one, zero when
+	// it is not a member. It only grows, and every nonzero slot belongs to
+	// a live entry, so emptying the entries (reset) zeroes it.
+	pos     []int32
+	dirty   bool        // has versioned entries needing compaction
+	indexes []*memIndex // value indexes requested by hashed join nodes
 
 	// testAttrs is the set of attributes the memory's own tests read; a
 	// Modify changing none of them cannot flip membership.
-	testAttrs map[string]bool
+	testAttrs attrSet
 
 	// succAttrs is the union of attributes read by downstream join nodes
 	// (join tests and projections). A Modify that leaves membership intact
 	// and changes none of these cannot affect any token and is dropped at
 	// the alpha layer.
-	succAttrs map[string]bool
+	succAttrs attrSet
 
 	patterns int // patterns served (sharing statistic)
 }
@@ -151,16 +201,23 @@ func (mem *alphaMem) eval(el *Element, net *alphaNet) bool {
 	return true
 }
 
-func (mem *alphaMem) has(el *Element) bool {
-	_, ok := mem.idx[el]
-	return ok
+// at returns the element's live entry position, or -1.
+func (mem *alphaMem) at(el *Element) int {
+	if el.ID < len(mem.pos) {
+		return int(mem.pos[el.ID]) - 1
+	}
+	return -1
 }
+
+func (mem *alphaMem) has(el *Element) bool { return mem.at(el) >= 0 }
 
 // add appends a membership entry. seq 0 marks seeding-time entries that
 // need no compaction.
 func (mem *alphaMem) add(el *Element, seq int) {
 	i := len(mem.entries)
-	mem.idx[el] = i
+	mem.pos = growSlots(mem.pos, el.ID)
+	mem.pos[el.ID] = int32(i + 1)
+	mem.net.register(el)
 	mem.entries = append(mem.entries, memEntry{el: el, addSeq: seq})
 	for _, ix := range mem.indexes {
 		ix.file(i, indexKey(el, ix.attr))
@@ -172,8 +229,8 @@ func (mem *alphaMem) add(el *Element, seq int) {
 
 // del closes the element's membership interval at seq.
 func (mem *alphaMem) del(el *Element, seq int) {
-	i := mem.idx[el]
-	delete(mem.idx, el)
+	i := mem.at(el)
+	mem.pos[el.ID] = 0
 	mem.entries[i].delSeq = seq
 	mem.dirty = true
 }
@@ -205,13 +262,14 @@ func (mem *alphaMem) compact() {
 				ix.renumber(last, i)
 			}
 			if mem.entries[i].delSeq == 0 {
-				mem.idx[mem.entries[i].el] = i
+				mem.pos[mem.entries[i].el.ID] = int32(i + 1)
 			}
 			// The moved entry may itself be closed; re-examine position i.
 		}
 		mem.entries = mem.entries[:last]
 		for _, ix := range mem.indexes {
 			ix.keys = ix.keys[:last]
+			ix.links = ix.links[:last]
 		}
 	}
 	mem.dirty = false
@@ -219,19 +277,24 @@ func (mem *alphaMem) compact() {
 
 // reset empties the memory (seeding, lockstep resync after another
 // matcher drove the engine, and the pool's scrub), dropping every element
-// reference, stale slots past the entries' length included.
+// reference, stale slots past the entries' length included, and zeroing
+// the membership slots its entries held.
 func (mem *alphaMem) reset() {
+	for i := range mem.entries {
+		mem.pos[mem.entries[i].el.ID] = 0
+	}
 	mem.entries = scrubSlice(mem.entries)
-	clear(mem.idx)
 	mem.dirty = false
 	for _, ix := range mem.indexes {
 		ix.keys = scrubSlice(ix.keys)
+		ix.links = ix.links[:0]
 		clear(ix.bucket)
+		ix.forget()
 	}
 }
 
 // index returns the value index over attr, nil if none was requested.
-func (mem *alphaMem) index(attr string) *memIndex {
+func (mem *alphaMem) index(attr attrID) *memIndex {
 	for _, ix := range mem.indexes {
 		if ix.attr == attr {
 			return ix
@@ -242,11 +305,11 @@ func (mem *alphaMem) index(attr string) *memIndex {
 
 // ensureIndex registers a value index over attr, building it from the
 // current entries (the memory may predate the requesting rule).
-func (mem *alphaMem) ensureIndex(attr string) *memIndex {
+func (mem *alphaMem) ensureIndex(attr attrID) *memIndex {
 	if ix := mem.index(attr); ix != nil {
 		return ix
 	}
-	ix := &memIndex{attr: attr, bucket: map[any][]int{}}
+	ix := &memIndex{attr: attr, bucket: map[any]int32{}}
 	for i := range mem.entries {
 		ix.file(i, indexKey(mem.entries[i].el, attr))
 	}
@@ -262,8 +325,8 @@ func (mem *alphaMem) reindexEl(el *Element) {
 	if len(mem.indexes) == 0 {
 		return
 	}
-	i, ok := mem.idx[el]
-	if !ok {
+	i := mem.at(el)
+	if i < 0 {
 		return
 	}
 	for _, ix := range mem.indexes {
@@ -271,6 +334,16 @@ func (mem *alphaMem) reindexEl(el *Element) {
 			ix.refile(i, k)
 		}
 	}
+}
+
+// growSlots extends a slot table so that index id is valid. Slots past a
+// table's length are always zero — tables only grow, and their users zero
+// every slot they set before dropping it — so the new slots read empty.
+func growSlots[T any](s []T, id int) []T {
+	if id < len(s) {
+		return s
+	}
+	return slices.Grow(s, id+1-len(s))[:id+1]
 }
 
 // alphaNet owns the interned tests and shared memories.
@@ -283,6 +356,26 @@ type alphaNet struct {
 
 	gen        uint64 // per-(element, event) generation for the test cache
 	batchEvals int    // constant-test evaluations this batch
+
+	// els maps element slots to elements for the tokens, which record
+	// matched elements by slot. Every element entering a memory registers
+	// here; els only grows, and elsHi bounds the slots set since the last
+	// scrub.
+	els   []*Element
+	elsHi int
+}
+
+// register records el under its slot.
+func (net *alphaNet) register(el *Element) {
+	net.els = growSlots(net.els, el.ID)
+	net.els[el.ID] = el
+	net.elsHi = max(net.elsHi, el.ID+1)
+}
+
+// scrubEls drops every registered element.
+func (net *alphaNet) scrubEls() {
+	clear(net.els[:net.elsHi])
+	net.elsHi = 0
 }
 
 func newAlphaNet() *alphaNet {
@@ -332,17 +425,15 @@ func (net *alphaNet) memFor(class string, specs []alphaSpec, wm *WM, seeded bool
 		return mem
 	}
 	mem := &alphaMem{
-		id:        len(net.memList),
-		class:     class,
-		tests:     tests,
-		idx:       map[*Element]int{},
-		succAttrs: map[string]bool{},
-		testAttrs: map[string]bool{},
+		id:    len(net.memList),
+		class: class,
+		tests: tests,
+		net:   net,
 	}
 	for _, s := range specs {
-		mem.testAttrs[s.key.attr] = true
+		mem.testAttrs.add(internAttr(s.key.attr))
 		if s.key.kind == aVarEq {
-			mem.testAttrs[s.key.attr2] = true
+			mem.testAttrs.add(internAttr(s.key.attr2))
 		}
 	}
 	net.memBySig[sig.String()] = mem

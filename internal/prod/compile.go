@@ -9,10 +9,14 @@ package prod
 //     attribute-equality test). These are interned network-wide so each
 //     distinct test is evaluated at most once per element change no
 //     matter how many rules use it (alpha.go).
-//   - join closures — tests against variables bound by earlier patterns,
-//     executed at the pattern's beta node against the partial-match token.
+//   - join tests — equalities against variables bound by earlier
+//     patterns, executed at the pattern's beta node against the
+//     partial-match token.
 //   - projections — variable slots this pattern binds, written into the
 //     token's binding vector when a join succeeds.
+//
+// Attribute names are interned here (internAttr), so every test, join and
+// projection probes elements by attrID.
 //
 // Variable slots are assigned in first-positive-occurrence order (pattern
 // order, then test order), which is exactly the order the interpreted
@@ -54,40 +58,43 @@ type alphaSpec struct {
 // compile builds the element-test closure for a spec. Called once per
 // interned test, not per rule.
 func (s alphaSpec) compile() func(*Element) bool {
-	attr := s.key.attr
+	attr := internAttr(s.key.attr)
 	switch s.key.kind {
 	case aEq:
 		val := s.key.val
-		return func(e *Element) bool { v, ok := e.lookup(attr); return ok && v == val }
+		return func(e *Element) bool { v, ok := e.lookupID(attr); return ok && v == val }
 	case aNeq:
 		val := s.key.val
-		return func(e *Element) bool { v, ok := e.lookup(attr); return !ok || v != val }
+		return func(e *Element) bool { v, ok := e.lookupID(attr); return !ok || v != val }
 	case aAbsent:
-		return func(e *Element) bool { _, ok := e.lookup(attr); return !ok }
+		return func(e *Element) bool { _, ok := e.lookupID(attr); return !ok }
 	case aPresent:
-		return func(e *Element) bool { _, ok := e.lookup(attr); return ok }
+		return func(e *Element) bool { _, ok := e.lookupID(attr); return ok }
 	case aPred:
 		pred := s.pred
-		return func(e *Element) bool { v, ok := e.lookup(attr); return ok && pred(v) }
+		return func(e *Element) bool { v, ok := e.lookupID(attr); return ok && pred(v) }
 	case aVarEq:
-		attr2 := s.key.attr2
+		attr2 := internAttr(s.key.attr2)
 		return func(e *Element) bool {
-			v1, ok1 := e.lookup(attr)
-			v2, ok2 := e.lookup(attr2)
+			v1, ok1 := e.lookupID(attr)
+			v2, ok2 := e.lookupID(attr2)
 			return ok1 && ok2 && v1 == v2
 		}
 	}
 	panic("prod: unknown alpha kind")
 }
 
-// joinFn tests an element against the bindings accumulated by earlier
-// patterns' tokens.
-type joinFn func(binds []any, el *Element) bool
+// joinSpec tests an element attribute against a slot bound by earlier
+// patterns: it passes when the attribute is present and equal.
+type joinSpec struct {
+	slot int
+	attr attrID
+}
 
 // projSpec writes one newly bound variable into a token's binding vector.
 type projSpec struct {
 	slot int
-	attr string
+	attr attrID
 }
 
 // compiledPat is one pattern lowered for the network.
@@ -95,18 +102,18 @@ type compiledPat struct {
 	class   string
 	negated bool
 	alphas  []alphaSpec
-	joins   []joinFn
+	joins   []joinSpec
 	projs   []projSpec
 	// attrs this pattern's joins and projections read from the element;
 	// a Modify that changes none of them (and none of the alpha-test
 	// attributes, handled by the alpha layer) cannot affect this node.
-	attrs []string
+	attrs []attrID
 	// hashSlot/hashAttr describe the first join — always an equality
 	// between an element attribute and an earlier slot — so the beta node
 	// can probe hash indexes instead of scanning memories and token lists.
 	// hashSlot is -1 for join-free (cross-product) nodes.
 	hashSlot int
-	hashAttr string
+	hashAttr attrID
 }
 
 // compiledRule is a rule's full lowered LHS.
@@ -151,12 +158,13 @@ func compileRule(r *Rule) *compiledRule {
 				}
 				if s, ok := slot[t.vari]; ok {
 					// Bound by an earlier pattern: a real beta join test.
+					id := internAttr(t.attr)
 					if cp.hashSlot < 0 {
 						cp.hashSlot = s
-						cp.hashAttr = t.attr
+						cp.hashAttr = id
 					}
-					cp.joins = append(cp.joins, compileJoin(s, t.attr))
-					cp.attrs = append(cp.attrs, t.attr)
+					cp.joins = append(cp.joins, joinSpec{slot: s, attr: id})
+					cp.attrs = append(cp.attrs, id)
 					local[t.vari] = t.attr
 					continue
 				}
@@ -170,8 +178,9 @@ func compileRule(r *Rule) *compiledRule {
 				s := len(cr.slotNames)
 				slot[t.vari] = s
 				cr.slotNames = append(cr.slotNames, t.vari)
-				cp.projs = append(cp.projs, projSpec{slot: s, attr: t.attr})
-				cp.attrs = append(cp.attrs, t.attr)
+				id := internAttr(t.attr)
+				cp.projs = append(cp.projs, projSpec{slot: s, attr: id})
+				cp.attrs = append(cp.attrs, id)
 			}
 		}
 		if !p.Negated {
@@ -180,13 +189,4 @@ func compileRule(r *Rule) *compiledRule {
 		cr.pats = append(cr.pats, cp)
 	}
 	return cr
-}
-
-// compileJoin builds the closure testing an element attribute against a
-// previously bound slot.
-func compileJoin(slot int, attr string) joinFn {
-	return func(binds []any, el *Element) bool {
-		v, ok := el.lookup(attr)
-		return ok && v == binds[slot]
-	}
 }

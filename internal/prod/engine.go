@@ -110,6 +110,8 @@ type Engine struct {
 	reteSynced bool
 	cursors    []int // selectRete's per-rule agenda positions
 
+	tx Tx // the firing's transaction handle, reused across firings
+
 	// Journal-recording state: jr is the journal being filled (nil when
 	// recording is off), jrEnc the host value encoder, cur the firing
 	// currently executing (working-memory changes outside a firing are
@@ -270,7 +272,7 @@ func (e *Engine) Run() error {
 		if e.TraceWriter != nil {
 			fmt.Fprintf(e.TraceWriter, "%6d  %-40s %s\n", e.firings, m.Rule.Name, matchIDs(m))
 		}
-		tx := &Tx{e: e, m: m}
+		e.tx = Tx{e: e, m: m}
 		if e.jr != nil {
 			f := &Firing{Seq: e.firings, Cycle: e.cycles, Rule: m.Rule.Name}
 			f.Elements = make([]int, len(m.Elements))
@@ -283,8 +285,9 @@ func (e *Engine) Run() error {
 			e.jr.Firings = append(e.jr.Firings, f)
 			e.cur = f
 		}
-		m.Rule.Action(tx, m)
+		m.Rule.Action(&e.tx, m)
 		e.cur = nil
+		e.tx.m = nil
 	}
 	return nil
 }

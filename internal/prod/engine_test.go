@@ -1,7 +1,9 @@
 package prod
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -580,3 +582,42 @@ func TestInterruptStopsRunawayRuleSet(t *testing.T) {
 type errSentinel string
 
 func (e errSentinel) Error() string { return string(e) }
+
+// Concurrent runs intern attribute names into one process-wide table:
+// every goroutine must see one id per name, distinct names distinct ids,
+// and each id naming its own attribute.
+func TestInternAttrConcurrent(t *testing.T) {
+	const workers, names = 8, 64
+	ids := make([][]attrID, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		ids[w] = make([]attrID, names)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < names; i++ {
+				// Each worker walks the names from a different start, so
+				// first interns race.
+				n := (i + w*names/workers) % names
+				ids[w][n] = internAttr(fmt.Sprintf("concurrent-attr-%d", n))
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := map[attrID]int{}
+	for n := 0; n < names; n++ {
+		id := ids[0][n]
+		for w := 1; w < workers; w++ {
+			if ids[w][n] != id {
+				t.Fatalf("name %d interned as %d and %d", n, id, ids[w][n])
+			}
+		}
+		if prev, dup := seen[id]; dup {
+			t.Fatalf("names %d and %d share id %d", prev, n, id)
+		}
+		seen[id] = n
+		if got, want := attrName(id), fmt.Sprintf("concurrent-attr-%d", n); got != want {
+			t.Fatalf("id %d names %q, want %q", id, got, want)
+		}
+	}
+}

@@ -67,7 +67,7 @@ func groundTruth(wm *WM, rules []*Rule) []string {
 	}
 	var out []string
 	for _, r := range ref.rules {
-		ref.enumerate(r, -1, nil, nil, false, func(m *Match) {
+		ref.enumerate(r, false, func(m *Match) {
 			ids := make([]string, len(m.Elements))
 			for j, el := range m.Elements {
 				ids[j] = fmt.Sprintf("%d@%d", el.ID, el.Time)

@@ -267,10 +267,7 @@ func (e *Engine) recordChange(c Change) {
 	switch c.Kind {
 	case ChangeMake:
 		eff = Effect{Kind: EffMake, Class: c.El.Class, Elem: c.El.ID}
-		keys := make([]string, 0, len(c.El.attrs))
-		for _, s := range c.El.attrs {
-			keys = append(keys, s.key)
-		}
+		keys := c.El.attrNames()
 		sort.Strings(keys)
 		for _, k := range keys {
 			v, _ := c.El.lookup(k)
@@ -301,7 +298,8 @@ func (e *Engine) recordChange(c Change) {
 // Tx is the transaction handle a rule action fires through. Working-memory
 // operations delegate to the engine's WM (whose change stream the journal
 // records); Do dispatches registered host effects. Actions must route every
-// mutation through the Tx — it is the only argument they get.
+// mutation through the Tx — it is the only argument they get. The engine
+// reuses one Tx for all its firings, so an action must not keep it.
 type Tx struct {
 	e *Engine
 	m *Match

@@ -13,7 +13,7 @@ func (e *Engine) selectExhaustive(count bool) *Match {
 	var best *Match
 	var bestRank recencyRank
 	for _, r := range e.rules {
-		e.enumerate(r, -1, nil, nil, count, func(m *Match) {
+		e.enumerate(r, count, func(m *Match) {
 			if r.Where != nil && !r.Where(m) {
 				return
 			}
@@ -37,18 +37,9 @@ func (e *Engine) selectExhaustive(count bool) *Match {
 // elements per pattern come from the narrowest applicable index: an Eq
 // test, or a Bind test whose variable is already bound, hashes directly to
 // the matching elements.
-//
-// With pinPat < 0 every instantiation is yielded (a full enumeration).
-// Otherwise pattern pinPat is pinned to the single element pin, and
-// positive patterns *before* pinPat skip every element in touched: a
-// delta enumeration calls this once per (touched element, matching
-// pattern) pair, and the exclusion attributes each new instantiation to
-// its first touched position so none is yielded twice. Negated patterns
-// always test the full working memory.
-func (e *Engine) enumerate(r *Rule, pinPat int, pin *Element, touched []*Element, count bool, yield func(*Match)) {
+func (e *Engine) enumerate(r *Rule, count bool, yield func(*Match)) {
 	var env bindings
 	els := make([]*Element, 0, len(r.Patterns))
-	pinned := [1]*Element{pin}
 	tested := 0
 	var rec func(pi int)
 	rec = func(pi int) {
@@ -57,12 +48,7 @@ func (e *Engine) enumerate(r *Rule, pinPat int, pin *Element, touched []*Element
 			return
 		}
 		p := r.Patterns[pi]
-		var candidates []*Element
-		if pi == pinPat {
-			candidates = pinned[:]
-		} else {
-			candidates = e.candidates(p, &env)
-		}
+		candidates := e.candidates(p, &env)
 		if p.Negated {
 			for _, el := range candidates {
 				tested++
@@ -74,11 +60,7 @@ func (e *Engine) enumerate(r *Rule, pinPat int, pin *Element, touched []*Element
 			rec(pi + 1)
 			return
 		}
-		excludeTouched := pinPat >= 0 && pi < pinPat
 		for _, el := range candidates {
-			if excludeTouched && containsElement(touched, el) {
-				continue
-			}
 			tested++
 			if mark, ok := p.match(el, &env); ok {
 				els = append(els, el)
@@ -93,15 +75,6 @@ func (e *Engine) enumerate(r *Rule, pinPat int, pin *Element, touched []*Element
 		e.matchCalls += tested
 		e.met.rules[r.index].matchCalls += tested
 	}
-}
-
-func containsElement(set []*Element, el *Element) bool {
-	for _, x := range set {
-		if x == el {
-			return true
-		}
-	}
-	return false
 }
 
 // candidates returns the narrowest element set the working-memory indexes

@@ -208,15 +208,20 @@ func (b *bindings) snapshot() bindings {
 
 // Match is one instantiation in the conflict set: the rule plus the
 // elements matched by its positive patterns and the variable bindings.
+//
+// A match is valid only while the Where test or Action it is handed to
+// runs: the Rete network recycles its match objects once their
+// instantiations leave the conflict set, so callers must not keep one.
 type Match struct {
 	Rule     *Rule
 	Elements []*Element // one per positive pattern, in pattern order
 	binds    bindings
 
-	// tok back-links a Rete-produced match to its production-node token so
-	// retraction can remove it from the conflict set in O(1). Nil for
-	// matches produced by the exhaustive matcher.
-	tok *token
+	// Rete bookkeeping, zero for matches the exhaustive matcher builds:
+	// tok is the production-level token that derived the match, id its
+	// slot in the rule's match registry and csIdx its position in the
+	// rule's conflict set, so retraction removes it in O(1).
+	tok, id, csIdx int32
 	// onAgenda marks a Rete match currently scheduled on its rule's agenda
 	// (agenda.go).
 	onAgenda bool

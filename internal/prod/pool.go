@@ -1,14 +1,17 @@
 package prod
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Pool recycles compiled engines for one rule set across runs. Building
 // an engine — NewEngine plus AddRule over every rule — compiles the rule
 // set into a Rete network; a run then grows tokens, memories, indexes and
 // buffers inside it. Get hands out an engine whose network is already
 // compiled, and Put returns one after dropping every reference to the
-// finished run, keeping the network, the token free lists and the buffer
-// capacity for the next.
+// finished run, keeping the network and the capacity of its arenas, slot
+// tables and buffers for the next.
 //
 // The idle engines sit in a sync.Pool, so the garbage collector reclaims
 // them when the process stops synthesizing; a bounded free list would pin
@@ -17,8 +20,9 @@ import "sync"
 // Rules in a pooled set must not capture per-run state (see Rule.Action):
 // per-run state reaches them through Engine.Host.
 type Pool struct {
-	rules []*Rule
-	idle  sync.Pool
+	rules  []*Rule
+	idle   sync.Pool
+	builds atomic.Int64 // engines built: Gets that found no idle engine
 }
 
 // NewPool returns a pool of engines over rules. Engines are built lazily,
@@ -38,6 +42,7 @@ func (p *Pool) Get(wm *WM) *Engine {
 		e.attach(wm)
 		return e
 	}
+	p.builds.Add(1)
 	e := NewEngine(wm)
 	for _, r := range p.rules {
 		e.AddRule(r)
@@ -45,6 +50,13 @@ func (p *Pool) Get(wm *WM) *Engine {
 	e.pool = p
 	return e
 }
+
+// Builds reports how many engines the pool has built: the Gets that found
+// no idle engine. The garbage collector empties a sync.Pool, and an
+// engine Put on one processor may be out of reach of a Get on another,
+// so a steady stream of runs still builds now and then; Builds makes
+// that rate visible.
+func (p *Pool) Builds() int64 { return p.builds.Load() }
 
 // Put scrubs e and makes it available to a later Get. Read everything
 // needed from the engine (metrics, counts) before calling Put. e must have
@@ -63,7 +75,8 @@ func (p *Pool) Put(e *Engine) {
 // scrub returns the engine to its just-compiled state: every exported
 // field at its NewEngine default, and no reference left to the finished
 // run — its working memory, host, tokens, matches, journal or elements.
-// The compiled network, the free lists and the buffers' capacity stay.
+// The compiled network and the capacity of its arenas, slot tables and
+// buffers stay.
 func (e *Engine) scrub() {
 	e.WM = nil
 	e.MaxFirings = defaultMaxFirings
@@ -81,6 +94,7 @@ func (e *Engine) scrub() {
 	e.seeded = false
 	e.reteSynced = false
 	e.jr, e.jrEnc, e.cur = nil, nil, nil
+	e.tx = Tx{}
 
 	clear(e.met.rules)
 	e.met = engineMetrics{rules: e.met.rules, series: e.met.series[:0]}
@@ -88,11 +102,13 @@ func (e *Engine) scrub() {
 	e.rete.scrub()
 }
 
-// scrub empties the network's memories and every rule's token state.
+// scrub empties the network's memories and every rule's token state, and
+// drops the element slot table.
 func (rt *rete) scrub() {
 	for _, mem := range rt.alpha.memList {
 		mem.reset()
 	}
+	rt.alpha.scrubEls()
 	rt.alpha.batchEvals = 0
 	rt.seeded = false
 	rt.seq = 0
@@ -104,29 +120,25 @@ func (rt *rete) scrub() {
 	}
 }
 
-// scrub moves the rule's stored tokens to its free list and clears every
-// token and binding vector the run touched. Tokens below the free list's
-// low-water mark sat idle through the run and are still clean from the
-// previous scrub, so the cost follows this run's token traffic, not the
-// free list's size.
+// scrub resets the rule's beta state and clears every binding vector and
+// match object the run wrote. The token and blocker arenas hold only
+// indexes, so truncating them (reset) leaves nothing to clear; the
+// binding slots and match objects past the high-water marks are still
+// clean from the previous scrub, so the cost follows this run's traffic,
+// not the arenas' capacity.
 func (rr *reteRule) scrub() {
-	for _, n := range rr.nodes {
-		rr.freeTokens(n)
-		n.tokens = scrubSlice(n.tokens)
+	rr.reset()
+	clear(rr.binds[:rr.bindsHi])
+	rr.bindsHi = 0
+	for _, m := range rr.ms[1:rr.msHi] {
+		clear(m.Elements)
+		m.binds = bindings{}
+		m.tok, m.csIdx, m.onAgenda = 0, 0, false
 	}
-	for _, t := range rr.free[rr.freeLow:] {
-		*t = token{children: scrubSlice(t.children), negMatches: scrubSlice(t.negMatches)}
-	}
-	for _, b := range rr.bindsFree[rr.bindsLow:] {
-		clear(b)
-	}
-	rr.freeLow, rr.bindsLow = len(rr.free), len(rr.bindsFree)
-	rr.root.children = scrubSlice(rr.root.children)
+	rr.msHi = 1
 	rr.cs = scrubSlice(rr.cs)
 	rr.agenda = scrubSlice(rr.agenda)
 	rr.stale = scrubSlice(rr.stale)
-	rr.scratch = scrubSlice(rr.scratch)
-	rr.stats = reteBatchStats{}
 }
 
 // scrubSlice zeroes s, including the stale slots past its length, and

@@ -162,8 +162,10 @@ func TestPoolScrubDropsRunState(t *testing.T) {
 					t.Errorf("%s: alpha memory %d still holds element #%d", mode, mem.id, en.el.ID)
 				}
 			}
-			if len(mem.idx) != 0 {
-				t.Errorf("%s: alpha memory %d index survives", mode, mem.id)
+			for id, p := range mem.pos[:cap(mem.pos)] {
+				if p != 0 {
+					t.Errorf("%s: alpha memory %d membership slot %d survives", mode, mem.id, id)
+				}
 			}
 			for _, ix := range mem.indexes {
 				for _, k := range ix.keys[:cap(ix.keys)] {
@@ -171,46 +173,205 @@ func TestPoolScrubDropsRunState(t *testing.T) {
 						t.Errorf("%s: alpha memory %d value index still holds key %v", mode, mem.id, k)
 					}
 				}
-				if len(ix.bucket) != 0 {
+				if len(ix.bucket) != 0 || ix.lastKey != nil {
 					t.Errorf("%s: alpha memory %d value buckets survive", mode, mem.id)
 				}
 			}
 		}
-		for _, rr := range eng.rete.rules {
-			for _, n := range rr.nodes {
-				if len(n.tokens) != 0 || n.succIdx != nil || n.negIdx != nil || n.elIdx != nil {
-					t.Errorf("%s: rule %s node keeps tokens or indexes", mode, rr.r.Name)
+		for _, el := range eng.rete.alpha.els[:cap(eng.rete.alpha.els)] {
+			if el != nil {
+				t.Errorf("%s: element slot table still holds element #%d", mode, el.ID)
+			}
+		}
+		checkRulesScrubbed(t, mode, eng)
+	}
+}
+
+// checkRulesScrubbed asserts that no rule's beta state still refers to a
+// finished run: no stored token or token index, no element slot, binding
+// vector or match object, in any slot of any buffer, past its length
+// included.
+func checkRulesScrubbed(t *testing.T, mode string, eng *Engine) {
+	t.Helper()
+	// Tokens and blockers name elements, parents and binding vectors by
+	// index, so their arenas cannot hold a reference by construction;
+	// pin that, then require them truncated to the root.
+	if typ := reflect.TypeOf(token{}); holdsPointers(typ) || holdsPointers(reflect.TypeOf(blocker{})) {
+		t.Fatalf("%s: token or blocker holds pointers: the arenas would keep run state reachable", typ)
+	}
+	for _, rr := range eng.rete.rules {
+		for _, n := range rr.nodes {
+			if len(n.tokens) != 0 || len(n.succIdx) != 0 || len(n.negIdx) != 0 || n.succOn || n.negOn {
+				t.Errorf("%s: rule %s node keeps tokens or indexes", mode, rr.r.Name)
+			}
+		}
+		if len(rr.toks) != 1 || len(rr.free) != 0 || len(rr.blk) != 1 || rr.blkFree != 0 || len(rr.bindsFree) != 0 || len(rr.msFree) != 0 {
+			t.Errorf("%s: rule %s keeps tokens, blockers or free lists", mode, rr.r.Name)
+		}
+		if root := rr.toks[0]; root != (token{level: -1, el: -1}) {
+			t.Errorf("%s: rule %s root token keeps links %+v", mode, rr.r.Name, root)
+		}
+		for id, head := range rr.elTok[:cap(rr.elTok)] {
+			if head != 0 {
+				t.Errorf("%s: rule %s element slot %d still heads token %d", mode, rr.r.Name, id, head)
+			}
+		}
+		for _, v := range rr.binds[:cap(rr.binds)] {
+			if v != nil {
+				t.Errorf("%s: rule %s binding arena keeps %v", mode, rr.r.Name, v)
+			}
+		}
+		for _, m := range rr.ms[1:] {
+			for _, el := range m.Elements {
+				if el != nil {
+					t.Errorf("%s: rule %s match object keeps element #%d", mode, rr.r.Name, el.ID)
 				}
 			}
-			for _, tk := range append(rr.free, rr.root) {
-				if tk.el != nil || tk.parent != nil || tk.match != nil || tk.node != nil || (tk != rr.root && tk.binds != nil) {
-					t.Errorf("%s: rule %s free token keeps run references", mode, rr.r.Name)
-				}
-				for _, c := range tk.children[:cap(tk.children)] {
-					if c != nil {
-						t.Errorf("%s: rule %s token keeps a child", mode, rr.r.Name)
-					}
-				}
-				for _, el := range tk.negMatches[:cap(tk.negMatches)] {
-					if el != nil {
-						t.Errorf("%s: rule %s token keeps blocker #%d", mode, rr.r.Name, el.ID)
-					}
+			if m.binds.vals != nil || m.onAgenda || m.tok != 0 {
+				t.Errorf("%s: rule %s match object keeps bindings or links", mode, rr.r.Name)
+			}
+		}
+		for _, buf := range [][]*Match{rr.cs[:cap(rr.cs)], rr.agenda[:cap(rr.agenda)], rr.stale[:cap(rr.stale)]} {
+			for _, m := range buf {
+				if m != nil {
+					t.Errorf("%s: rule %s keeps a match", mode, rr.r.Name)
 				}
 			}
-			for _, b := range rr.bindsFree {
-				for _, v := range b {
-					if v != nil {
-						t.Errorf("%s: rule %s free binding vector keeps %v", mode, rr.r.Name, v)
-					}
+		}
+	}
+}
+
+// holdsPointers reports whether values of typ can refer to heap memory.
+func holdsPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64:
+		return false
+	case reflect.Array:
+		return holdsPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if holdsPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// A pooled engine that finished a large run indexes its element slots
+// past every ID a small run reaches. Recycled onto a small WM, whose
+// element IDs reuse the low slots, the engine must see only the new run:
+// no membership, token or element slot of the old one, right after the
+// seed and after the run, and a run identical to a freshly built engine's.
+func TestPoolRecycledEngineReusesSlots(t *testing.T) {
+	p := NewPool(poolRules)
+	wm := NewWM()
+	eng := p.Get(wm)
+	poolRun(t, eng, wm, 80)
+	if len(eng.rete.alpha.els) < 80 {
+		t.Fatalf("the large run filled %d element slots, want at least 80", len(eng.rete.alpha.els))
+	}
+	eng.scrub()
+
+	small := NewWM()
+	made := map[int]*Element{} // every element of the small run, removed ones too
+	small.Observe(func(c Change) {
+		if c.Kind == ChangeMake {
+			made[c.El.ID] = c.El
+		}
+	})
+	eng.attach(small)
+	checkSlots(t, "after scrub", eng, small, made)
+	for i := 0; i < 6; i++ {
+		small.Make("a", Attrs{"k": i % 5, "g": i % 4})
+	}
+	eng.applyChanges() // the seed: memories and tokens over the small WM
+	checkSlots(t, "after the seed", eng, small, made)
+
+	h := &poolHost{maxG: 3}
+	var trace bytes.Buffer
+	eng.Host, eng.TraceWriter = h, &trace
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checkSlots(t, "after the run", eng, small, made)
+
+	fresh := NewWM()
+	ref := NewEngine(fresh)
+	for _, r := range poolRules {
+		ref.AddRule(r)
+	}
+	for i := 0; i < 6; i++ {
+		fresh.Make("a", Attrs{"k": i % 5, "g": i % 4})
+	}
+	fh := &poolHost{maxG: 3}
+	var ftrace bytes.Buffer
+	ref.Host, ref.TraceWriter = fh, &ftrace
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if trace.String() != ftrace.String() || fmt.Sprint(h.notes) != fmt.Sprint(fh.notes) {
+		t.Errorf("recycled engine diverges from a fresh one:\n--- recycled\n%s%v\n--- fresh\n%s%v", trace.String(), h.notes, ftrace.String(), fh.notes)
+	}
+	if got, want := eng.Metrics(), ref.Metrics(); got.TokenAsserts != want.TokenAsserts || got.TokenRetracts != want.TokenRetracts ||
+		got.JoinTests != want.JoinTests || got.AlphaEvals != want.AlphaEvals || got.TokensLive != want.TokensLive {
+		t.Errorf("recycled engine's work %+v differs from a fresh engine's %+v", got, want)
+	}
+}
+
+// checkSlots asserts that every element slot the engine holds belongs to
+// the run over wm: the slot table maps only to elements made in it,
+// memberships point at entries of live elements, and each rule's
+// per-element token lists hold exactly its live tokens over them.
+func checkSlots(t *testing.T, when string, eng *Engine, wm *WM, made map[int]*Element) {
+	t.Helper()
+	live := map[int]*Element{}
+	for _, es := range wm.byClass {
+		for _, el := range es {
+			live[el.ID] = el
+		}
+	}
+	for id, el := range eng.rete.alpha.els {
+		if el != nil && made[id] != el {
+			t.Errorf("%s: element slot %d holds %v, not an element of this run", when, id, el)
+		}
+	}
+	for _, mem := range eng.rete.alpha.memList {
+		members := 0
+		for id, p := range mem.pos {
+			if p == 0 {
+				continue
+			}
+			members++
+			if int(p) > len(mem.entries) || mem.entries[p-1].el != live[id] || live[id] == nil {
+				t.Errorf("%s: alpha memory %d slot %d names entry %d, not a live member of this run", when, mem.id, id, p-1)
+			}
+		}
+		if members != len(mem.entries) {
+			t.Errorf("%s: alpha memory %d holds %d entries but %d membership slots", when, mem.id, len(mem.entries), members)
+		}
+	}
+	for _, rr := range eng.rete.rules {
+		positive := 0
+		for _, n := range rr.nodes {
+			if !n.neg {
+				positive += len(n.tokens)
+			}
+		}
+		listed := 0
+		for id, head := range rr.elTok {
+			for tk := head; tk != 0; tk = rr.toks[tk].elk.next {
+				listed++
+				if tok := rr.toks[tk]; tok.dead || int(tok.el) != id || live[id] == nil {
+					t.Errorf("%s: rule %s lists token %d under slot %d, not a live token over a live element", when, rr.r.Name, tk, id)
 				}
 			}
-			for _, buf := range [][]*Match{rr.cs[:cap(rr.cs)], rr.agenda[:cap(rr.agenda)], rr.stale[:cap(rr.stale)]} {
-				for _, m := range buf {
-					if m != nil {
-						t.Errorf("%s: rule %s keeps a match", mode, rr.r.Name)
-					}
-				}
-			}
+		}
+		if listed != positive {
+			t.Errorf("%s: rule %s lists %d tokens by element, holds %d", when, rr.r.Name, listed, positive)
 		}
 	}
 }

@@ -42,14 +42,16 @@ type alphaEvent struct {
 	kind  alphaEventKind
 	mem   *alphaMem
 	el    *Element
-	attrs []string // evTouch: the changed attributes
+	attrs []attrID // evTouch: the changed attributes
 }
 
-// reteRule is one rule's beta chain plus its batch-local counters.
+// reteRule is one rule's beta chain, its token arena and its
+// batch-local counters.
 type reteRule struct {
 	idx   int
 	r     *Rule
 	cr    *compiledRule
+	net   *alphaNet // element slots -> elements, for matches
 	nodes []*betaNode
 	// byMem lists the rule's nodes per alpha-memory id, descending level
 	// order. Dense by mem id — the per-(rule, event) dispatch is a slice
@@ -57,20 +59,41 @@ type reteRule struct {
 	// the slice end, which correctly reads as "not watched".
 	byMem [][]*betaNode
 
-	root      *token
-	rootSlice []*token
-	cs        []*Match // every live instantiation, fired or not
-	agenda    []*Match // the unfired ones, in rank order (agenda.go)
-	fired     map[refraction]bool
-	stale     []*Match // rerank collection buffer
+	// The token arena (beta.go): toks[0] is the root, free lists deleted
+	// tokens for reuse. A reset truncates the arena to the root.
+	toks []token
+	free []int32
+	// binds holds every binding vector, stride len(cr.slotNames) apart;
+	// the root's all-nil vector sits at offset 0. bindsFree recycles the
+	// vectors deleted tokens owned; bindsHi bounds the slots written
+	// since the last scrub.
+	binds     []any
+	stride    int
+	bindsFree []int32
+	bindsHi   int
+	// blk holds the negative tokens' blocker lists (blk[0] unused);
+	// blkFree chains the free records.
+	blk     []blocker
+	blkFree int32
+	// elTok is indexed by element slot: the head of the list of the
+	// rule's positive tokens that matched the element (0: none). It only
+	// grows; every nonzero slot heads a live token, so emptying the
+	// tokens zeroes it.
+	elTok []int32
 
-	scratch   []*token // rightRetract collection buffer
-	free      []*token // recycled tokens (token churn is the hot path)
-	bindsFree [][]any  // recycled binding vectors (all len(slotNames))
-	// freeLow and bindsLow are the free lists' low-water marks since the
-	// last scrub (pool.go): entries below them sat idle through the run.
-	freeLow, bindsLow int
-	stats             reteBatchStats
+	// ms registers the rule's match objects for reuse (ms[0] unused):
+	// msFree lists the released ones, ms[msUsed:] are clean and unused
+	// since the last reset, and ms[1:msHi] bounds the ones written since
+	// the last scrub.
+	ms           []*Match
+	msFree       []int32
+	msUsed, msHi int
+	cs           []*Match // every live instantiation, fired or not
+	agenda       []*Match // the unfired ones, in rank order (agenda.go)
+	fired        map[refraction]bool
+	stale        []*Match // rerank collection buffer
+	scratch      []int32  // rightRetract collection buffer
+	stats        reteBatchStats
 }
 
 // nodesFor returns the rule's nodes on mem, innermost (deepest) first.
@@ -81,16 +104,35 @@ func (rr *reteRule) nodesFor(mem *alphaMem) []*betaNode {
 	return rr.byMem[mem.id]
 }
 
-// newToken takes a token from the rule's free list, or allocates one.
-func (rr *reteRule) newToken() *token {
-	if n := len(rr.free); n > 0 {
-		t := rr.free[n-1]
-		rr.free = rr.free[:n-1]
-		rr.freeLow = min(rr.freeLow, n-1)
-		*t = token{children: t.children[:0], negMatches: t.negMatches[:0]}
-		return t
+// reset empties the rule's beta state — tokens, blockers, matches, the
+// conflict set and the agenda — keeping every buffer's capacity. The
+// element slots the stored tokens occupied are zeroed as they go and the
+// token indexes emptied, so both read empty whatever WM the rule sees
+// next.
+func (rr *reteRule) reset() {
+	for _, n := range rr.nodes {
+		if !n.neg {
+			for _, t := range n.tokens {
+				rr.elTok[rr.toks[t].el] = 0
+			}
+		}
+		n.tokens = n.tokens[:0]
+		clear(n.succIdx)
+		clear(n.negIdx)
+		n.succOn, n.negOn = false, false
 	}
-	return &token{}
+	rr.toks = append(rr.toks[:0], token{level: -1, el: -1})
+	rr.free = rr.free[:0]
+	rr.binds = rr.binds[:rr.stride]
+	rr.bindsFree = rr.bindsFree[:0]
+	rr.blk = rr.blk[:1]
+	rr.blkFree = 0
+	rr.msFree = rr.msFree[:0]
+	rr.msUsed = 1
+	rr.cs = rr.cs[:0]
+	clear(rr.agenda)
+	rr.agenda = rr.agenda[:0]
+	rr.stats = reteBatchStats{}
 }
 
 // reteBatchStats accumulates one rule's work during a batch; folded into
@@ -119,25 +161,28 @@ func newRete() *rete {
 // from live WM and its chain activated immediately.
 func (rt *rete) addRule(r *Rule, e *Engine) {
 	cr := compileRule(r)
-	rr := &reteRule{idx: r.index, r: r, cr: cr, fired: e.fired}
-	rr.root = &token{binds: make([]any, len(cr.slotNames))}
-	rr.rootSlice = []*token{rr.root}
+	rr := &reteRule{idx: r.index, r: r, cr: cr, net: rt.alpha, fired: e.fired, stride: len(cr.slotNames)}
+	rr.binds = make([]any, rr.stride)
+	rr.blk = make([]blocker, 1)
+	rr.ms = []*Match{nil}
+	rr.msHi = 1
+	rr.reset()
 	var prev *betaNode
-	for _, cp := range cr.pats {
+	for i, cp := range cr.pats {
 		mem := rt.alpha.memFor(cp.class, cp.alphas, e.WM, rt.seeded)
 		mem.patterns++
 		rt.patterns++
 		n := &betaNode{
+			level: int32(i),
 			mem:   mem,
 			neg:   cp.negated,
 			joins: cp.joins,
 			projs: cp.projs,
-			attrs: map[string]bool{},
 			prev:  prev,
 		}
 		for _, a := range cp.attrs {
-			n.attrs[a] = true
-			mem.succAttrs[a] = true
+			n.attrs.add(a)
+			mem.succAttrs.add(a)
 		}
 		if cp.hashSlot >= 0 {
 			n.hashed = true
@@ -145,8 +190,8 @@ func (rt *rete) addRule(r *Rule, e *Engine) {
 			n.hashAttr = cp.hashAttr
 			n.memIdx = mem.ensureIndex(cp.hashAttr)
 			// The token-side indexes (the previous node's succIdx, a
-			// negative node's negIdx, every positive node's elIdx) are
-			// built lazily on first probe — see beta.go.
+			// negative node's negIdx) are built lazily on first probe —
+			// see beta.go.
 		}
 		if prev != nil {
 			prev.next = n
@@ -168,7 +213,7 @@ func (rt *rete) addRule(r *Rule, e *Engine) {
 	rt.rules = append(rt.rules, rr)
 	if rt.seeded {
 		t0 := time.Now()
-		rr.leftActivate(rr.nodes[0], rr.root, 0)
+		rr.leftActivate(rr.nodes[0], 0, 0)
 		rr.stats.elapsed = time.Since(t0)
 		rt.foldRule(e, rr, true)
 	}
@@ -188,33 +233,12 @@ func (rt *rete) resync(e *Engine) {
 	e.matchCalls += evals
 	e.met.alphaEvals += evals
 	for _, rr := range rt.rules {
-		for _, n := range rr.nodes {
-			rr.freeTokens(n)
-		}
-		rr.root.children = rr.root.children[:0]
-		rr.cs = rr.cs[:0]
-		clear(rr.agenda)
-		rr.agenda = rr.agenda[:0]
-		rr.stats = reteBatchStats{}
+		rr.reset()
 		t0 := time.Now()
-		rr.leftActivate(rr.nodes[0], rr.root, 0)
+		rr.leftActivate(rr.nodes[0], 0, 0)
 		rr.stats.elapsed = time.Since(t0)
 		rt.foldRule(e, rr, true)
 	}
-}
-
-// freeTokens sweeps node n's stored tokens, and the binding vectors they
-// own, into the rule's free lists, and drops the lazy token indexes; the
-// next probe rebuilds them.
-func (rr *reteRule) freeTokens(n *betaNode) {
-	for _, t := range n.tokens {
-		if t.el != nil && len(n.projs) > 0 {
-			rr.bindsFree = append(rr.bindsFree, t.binds)
-		}
-		rr.free = append(rr.free, t)
-	}
-	n.tokens = n.tokens[:0]
-	n.succIdx, n.negIdx, n.elIdx = nil, nil, nil
 }
 
 // apply propagates one batch of WM changes through the network.
@@ -255,10 +279,10 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 				if wasIn {
 					rt.bumps = append(rt.bumps, bump{mem, el})
 				}
-				if !memTestsTouch(mem, ch.Attrs) {
+				if !mem.testAttrs.hasAny(ch.ids) {
 					// Membership can't flip; joins may still care.
-					if wasIn && attrsTouch(mem.succAttrs, ch.Attrs) {
-						rt.emit(evTouch, mem, el, ch.Attrs)
+					if wasIn && mem.succAttrs.hasAny(ch.ids) {
+						rt.emit(evTouch, mem, el, ch.ids)
 					}
 					continue
 				}
@@ -269,7 +293,7 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 				case !wasIn && nowIn:
 					rt.emit(evAssert, mem, el, nil)
 				case wasIn && nowIn:
-					rt.emit(evTouch, mem, el, ch.Attrs)
+					rt.emit(evTouch, mem, el, ch.ids)
 				}
 			}
 		}
@@ -332,7 +356,7 @@ func (rt *rete) apportion(elapsed time.Duration, total int64) {
 }
 
 // emit records one event, applying the membership change to the memory.
-func (rt *rete) emit(kind alphaEventKind, mem *alphaMem, el *Element, attrs []string) {
+func (rt *rete) emit(kind alphaEventKind, mem *alphaMem, el *Element, attrs []attrID) {
 	rt.seq++
 	switch kind {
 	case evAssert:
@@ -344,21 +368,6 @@ func (rt *rete) emit(kind alphaEventKind, mem *alphaMem, el *Element, attrs []st
 		rt.dirty = append(rt.dirty, mem)
 	}
 	rt.events = append(rt.events, alphaEvent{seq: rt.seq, kind: kind, mem: mem, el: el, attrs: attrs})
-}
-
-// memTestsTouch reports whether any of the memory's own tests read one of
-// the changed attributes.
-func memTestsTouch(mem *alphaMem, attrs []string) bool {
-	return attrsTouch(mem.testAttrs, attrs)
-}
-
-func attrsTouch(set map[string]bool, attrs []string) bool {
-	for _, a := range attrs {
-		if set[a] {
-			return true
-		}
-	}
-	return false
 }
 
 // processEvents replays a batch's event list against one rule's chain and
@@ -386,7 +395,7 @@ func (rr *reteRule) processEvents(evs []alphaEvent) bool {
 			case evRetract:
 				rr.rightRetract(n, ev.el, ev.seq)
 			case evTouch:
-				if n.touches(ev.attrs) {
+				if n.attrs.hasAny(ev.attrs) { // a join or projection attribute changed
 					rr.rightRetract(n, ev.el, ev.seq)
 					rr.rightAssert(n, ev.el, ev.seq)
 				}

@@ -40,17 +40,23 @@ package prod
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Element is a working-memory element: a typed bag of attribute/value
 // pairs. Values may be any comparable Go value; pointers into the value
 // trace or the RTL design are the common case in internal/core.
 //
-// Attributes are stored as a small association slice: elements carry a
-// handful of attributes and the matcher probes them constantly, where a
-// linear scan beats map hashing.
+// Attributes are stored as a small association slice keyed by interned
+// attribute ids (attrID): elements carry a handful of attributes and the
+// matcher probes them constantly, where a linear scan comparing small
+// integers beats map hashing. ID numbers the elements of one working
+// memory densely from zero, and the Rete network indexes its per-element
+// state by it (the element's slot; see DESIGN.md, "Engine memory layout").
 type Element struct {
 	ID    int
 	Class string
@@ -61,37 +67,124 @@ type Element struct {
 }
 
 type attrSlot struct {
-	key string
+	id  attrID
 	val any
 }
 
-// lookup returns the attribute value and presence.
-func (e *Element) lookup(attr string) (any, bool) {
+// lookupID returns the value of the interned attribute id and presence:
+// the matcher's probe.
+func (e *Element) lookupID(id attrID) (any, bool) {
 	for i := range e.attrs {
-		if e.attrs[i].key == attr {
+		if e.attrs[i].id == id {
 			return e.attrs[i].val, true
 		}
 	}
 	return nil, false
 }
 
-func (e *Element) set(attr string, v any) {
+// lookup returns the attribute value and presence by name. It compares
+// names through the symbol table rather than interning attr, so probing
+// a name no element ever carried adds nothing to the table.
+func (e *Element) lookup(attr string) (any, bool) {
+	names := symbols.Load().names
 	for i := range e.attrs {
-		if e.attrs[i].key == attr {
+		if names[e.attrs[i].id] == attr {
+			return e.attrs[i].val, true
+		}
+	}
+	return nil, false
+}
+
+func (e *Element) set(id attrID, v any) {
+	for i := range e.attrs {
+		if e.attrs[i].id == id {
 			e.attrs[i].val = v
 			return
 		}
 	}
-	e.attrs = append(e.attrs, attrSlot{attr, v})
+	e.attrs = append(e.attrs, attrSlot{id, v})
 }
 
-func (e *Element) unset(attr string) {
+func (e *Element) unset(id attrID) {
 	for i := range e.attrs {
-		if e.attrs[i].key == attr {
+		if e.attrs[i].id == id {
 			e.attrs = append(e.attrs[:i], e.attrs[i+1:]...)
 			return
 		}
 	}
+}
+
+// attrID is an interned attribute name: its index in the process-wide
+// symbol table. Rules intern their attribute names when they are
+// compiled and working memories intern theirs on Make and Modify, so the
+// matcher's element probes compare ids, never strings.
+type attrID int32
+
+// symbolTable is one immutable snapshot of the interned names.
+type symbolTable struct {
+	ids   map[string]attrID
+	names []string // id -> name
+}
+
+// symbols is the process-wide attribute symbol table: read lock-free
+// through the atomic snapshot, extended copy-on-write under symbolsMu.
+// Attribute names come from rule and seeding code, not from input, so the
+// table stays small; ids are opaque and never reach any output, so the
+// order in which concurrent runs intern names cannot show.
+var (
+	symbols   atomic.Pointer[symbolTable]
+	symbolsMu sync.Mutex
+)
+
+func init() { symbols.Store(&symbolTable{ids: map[string]attrID{}}) }
+
+// internAttr returns name's id, adding it to the table on first use.
+func internAttr(name string) attrID {
+	if id, ok := symbols.Load().ids[name]; ok {
+		return id
+	}
+	symbolsMu.Lock()
+	defer symbolsMu.Unlock()
+	old := symbols.Load()
+	if id, ok := old.ids[name]; ok {
+		return id
+	}
+	names := append(old.names[:len(old.names):len(old.names)], name)
+	ids := make(map[string]attrID, len(names))
+	for i, n := range names {
+		ids[n] = attrID(i)
+	}
+	symbols.Store(&symbolTable{ids: ids, names: names})
+	return attrID(len(names) - 1)
+}
+
+// attrName returns the name an id interns.
+func attrName(id attrID) string { return symbols.Load().names[id] }
+
+// attrSet is a bitset of interned attribute ids.
+type attrSet []uint64
+
+func (s *attrSet) add(id attrID) {
+	w := int(id >> 6)
+	if w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
+	}
+	(*s)[w] |= 1 << (id & 63)
+}
+
+func (s attrSet) has(id attrID) bool {
+	w := int(id >> 6)
+	return w < len(s) && s[w]&(1<<(id&63)) != 0
+}
+
+// hasAny reports whether any of ids is in the set.
+func (s attrSet) hasAny(ids []attrID) bool {
+	for _, id := range ids {
+		if s.has(id) {
+			return true
+		}
+	}
+	return false
 }
 
 // Get returns the value of attr, or nil when absent.
@@ -128,10 +221,7 @@ func (e *Element) Bool(attr string) bool {
 func (e *Element) Live() bool { return !e.deleted }
 
 func (e *Element) String() string {
-	keys := make([]string, 0, len(e.attrs))
-	for _, s := range e.attrs {
-		keys = append(keys, s.key)
-	}
+	keys := e.attrNames()
 	sort.Strings(keys)
 	var b strings.Builder
 	fmt.Fprintf(&b, "(%s #%d", e.Class, e.ID)
@@ -141,6 +231,16 @@ func (e *Element) String() string {
 	}
 	b.WriteString(")")
 	return b.String()
+}
+
+// attrNames returns the names of the element's attributes, in slot order.
+func (e *Element) attrNames() []string {
+	names := symbols.Load().names
+	keys := make([]string, 0, len(e.attrs))
+	for _, s := range e.attrs {
+		keys = append(keys, names[s.id])
+	}
+	return keys
 }
 
 // Attrs is the attribute/value map used to create or modify elements.
@@ -164,6 +264,8 @@ type Change struct {
 	Kind  ChangeKind
 	El    *Element
 	Attrs []string
+
+	ids []attrID // Attrs interned, in the same order
 }
 
 // WM is a working memory: the set of live elements, indexed by class.
@@ -178,6 +280,15 @@ type WM struct {
 	byClass   map[string][]*Element
 	byAttr    map[attrKey][]*Element // nil until the first lookup
 	observers []func(Change)
+	keys      []string // sortedKeys buffer
+	// Make carves elements and their attribute slots, and Modify its
+	// change lists, out of these chunks, so a run's elements and changes
+	// cost a few allocations rather than two each. Chunks double up to
+	// maxChunk, keeping a small WM small.
+	elChunk   []Element
+	slotChunk []attrSlot
+	nameChunk []string
+	idChunk   []attrID
 	nextID    int
 	clock     int
 	count     int
@@ -220,25 +331,30 @@ func checkAttrValue(class, attr string, v any) {
 
 // sortedKeys returns the attribute names in sorted order so attribute
 // slots, index entries, and change notifications are independent of Go's
-// randomized map iteration.
-func (a Attrs) sortedKeys() []string {
-	keys := make([]string, 0, len(a))
+// randomized map iteration. The names go into the WM's key buffer, valid
+// until the next Make or Modify.
+func (w *WM) sortedKeys(a Attrs) []string {
+	keys := w.keys[:0]
 	for k := range a {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
+	w.keys = keys
 	return keys
 }
 
 // Make creates a new element of the given class.
 func (w *WM) Make(class string, attrs Attrs) *Element {
 	w.clock++
-	e := &Element{ID: w.nextID, Class: class, Time: w.clock, attrs: make([]attrSlot, 0, len(attrs))}
+	// One spare slot: rules commonly mark an element with one attribute
+	// more (bound, done) after making it.
+	e := w.newElement(len(attrs) + 1)
+	e.ID, e.Class, e.Time = w.nextID, class, w.clock
 	w.nextID++
-	for _, k := range attrs.sortedKeys() {
+	for _, k := range w.sortedKeys(attrs) {
 		if v := attrs[k]; v != nil {
 			checkAttrValue(class, k, v)
-			e.set(k, v)
+			e.set(internAttr(k), v)
 			w.index(e, k, v)
 		}
 	}
@@ -248,6 +364,33 @@ func (w *WM) Make(class string, attrs Attrs) *Element {
 		w.peak = w.count
 	}
 	w.notify(Change{Kind: ChangeMake, El: e})
+	return e
+}
+
+// maxChunk bounds the chunks Make and Modify carve from.
+const maxChunk = 256
+
+// reserve returns chunk with room for n more entries past its length,
+// starting a new chunk when the current one is short. Slices already
+// carved from the old chunk keep it alive for as long as they live.
+func reserve[T any](chunk []T, n int) []T {
+	if cap(chunk)-len(chunk) >= n {
+		return chunk
+	}
+	return make([]T, 0, max(min(2*cap(chunk)+8, maxChunk), n))
+}
+
+// newElement returns a zero element from the current chunk with room for
+// n attribute slots; appending past them reallocates that element's
+// slots alone.
+func (w *WM) newElement(n int) *Element {
+	w.elChunk = reserve(w.elChunk, 1)
+	w.elChunk = w.elChunk[:len(w.elChunk)+1]
+	e := &w.elChunk[len(w.elChunk)-1]
+	w.slotChunk = reserve(w.slotChunk, n)
+	k := len(w.slotChunk)
+	e.attrs = w.slotChunk[k : k : k+n]
+	w.slotChunk = w.slotChunk[:k+n]
 	return e
 }
 
@@ -283,7 +426,7 @@ func (w *WM) lookup(class, attr string, val any) []*Element {
 		for _, es := range w.byClass {
 			for _, e := range es {
 				for _, s := range e.attrs {
-					w.index(e, s.key, s.val)
+					w.index(e, attrName(s.id), s.val)
 				}
 			}
 		}
@@ -299,11 +442,17 @@ func (w *WM) Modify(e *Element, attrs Attrs) {
 	}
 	w.clock++
 	e.Time = w.clock
-	var changed []string
-	for _, k := range attrs.sortedKeys() {
+	// Carve the change lists from chunks: the engine holds them until
+	// the next cycle's match.
+	w.nameChunk = reserve(w.nameChunk, len(attrs))
+	w.idChunk = reserve(w.idChunk, len(attrs))
+	changed := w.nameChunk[len(w.nameChunk):len(w.nameChunk)]
+	ids := w.idChunk[len(w.idChunk):len(w.idChunk)]
+	for _, k := range w.sortedKeys(attrs) {
 		v := attrs[k]
 		checkAttrValue(e.Class, k, v)
-		old, had := e.lookup(k)
+		id := internAttr(k)
+		old, had := e.lookupID(id)
 		if had {
 			if old == v {
 				continue
@@ -314,14 +463,22 @@ func (w *WM) Modify(e *Element, attrs Attrs) {
 			if !had {
 				continue
 			}
-			e.unset(k)
+			e.unset(id)
 		} else {
-			e.set(k, v)
+			e.set(id, v)
 			w.index(e, k, v)
 		}
 		changed = append(changed, k)
+		ids = append(ids, id)
 	}
-	w.notify(Change{Kind: ChangeModify, El: e, Attrs: changed})
+	if len(changed) == 0 {
+		changed, ids = nil, nil
+	} else {
+		w.nameChunk = w.nameChunk[:len(w.nameChunk)+len(changed)]
+		w.idChunk = w.idChunk[:len(w.idChunk)+len(ids)]
+		changed, ids = changed[:len(changed):len(changed)], ids[:len(ids):len(ids)]
+	}
+	w.notify(Change{Kind: ChangeModify, El: e, Attrs: changed, ids: ids})
 }
 
 // Remove deletes an element from working memory.
@@ -338,8 +495,10 @@ func (w *WM) Remove(e *Element) {
 			break
 		}
 	}
-	for _, s := range e.attrs {
-		w.unindex(e, s.key, s.val)
+	if w.byAttr != nil {
+		for _, s := range e.attrs {
+			w.unindex(e, attrName(s.id), s.val)
+		}
 	}
 	w.notify(Change{Kind: ChangeRemove, El: e})
 }
